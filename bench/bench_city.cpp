@@ -9,7 +9,11 @@
 // caches), not by the record count.
 //
 //   bench_city [--houses N] [--hours H] [--seed S] [--shards N]
-//              [--pack FILE] [--max-rss-mib M] [--json PATH]
+//              [--threads N] [--pack FILE] [--max-rss-mib M] [--json PATH]
+//
+// `--threads N` runs the shards on N threads; the records the sink sees,
+// and their order, do not depend on it. Numeric flags are strict: a
+// value that is not a whole number in range exits 2.
 //
 // `--pack FILE` loads a scenario pack (examples/packs/) so the city runs
 // heterogeneous, non-web-centric load — the record key in the JSON line
@@ -20,7 +24,9 @@
 // runs 500 houses under such a bound). `--json PATH` appends a one-line
 // timing record compatible with tools/bench_compare.py.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,33 +44,51 @@ struct CityScale {
   int hours = 1;
   std::uint64_t seed = 42;
   std::size_t shards = 1;
+  unsigned threads = 1;
   std::uint64_t max_rss_mib = 0;  ///< 0 = report only, no bound asserted
   std::string json_path;
   std::string pack_file;          ///< scenario pack ("" = default composition)
   std::string pack = "default";   ///< pack name for the JSON record key
 };
 
+/// The value of numeric flag `flag`: all of `text` must be a base-10
+/// integer in [lo, hi], or the bench exits 2 naming the flag.
+std::uint64_t number(const char* flag, const char* text, std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "bench_city: %s expects an integer in [%llu, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+  }
+  return v;
+}
+
 CityScale parse_args(int argc, char** argv) {
   CityScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      s.shards = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--max-rss-mib") == 0) {
-      s.max_rss_mib = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--houses") == 0) {
+      s.houses = number(flag, value(i), 1, 1'000'000);
+    } else if (std::strcmp(flag, "--hours") == 0) {
+      s.hours = static_cast<int>(number(flag, value(i), 1, 24 * 365));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      s.seed = number(flag, value(i), 0, UINT64_MAX);
+    } else if (std::strcmp(flag, "--shards") == 0) {
+      s.shards = number(flag, value(i), 1, 1024);
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      s.threads = static_cast<unsigned>(number(flag, value(i), 1, 256));
+    } else if (std::strcmp(flag, "--max-rss-mib") == 0) {
+      s.max_rss_mib = number(flag, value(i), 0, 1u << 30);
+    } else if (std::strcmp(flag, "--json") == 0) {
       s.json_path = value(i);
-    } else if (std::strcmp(argv[i], "--pack") == 0) {
+    } else if (std::strcmp(flag, "--pack") == 0) {
       s.pack_file = value(i);
     } else {
-      std::fprintf(stderr, "bench_city: unknown argument %s\n", argv[i]);
+      std::fprintf(stderr, "bench_city: unknown argument %s\n", flag);
       std::exit(2);
     }
   }
@@ -95,14 +119,16 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("== bench_city — city-scale simulation, streaming capture ==\n");
-  std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s), pack %s\n",
+  std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s) on %u thread(s), "
+              "pack %s\n",
               scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-              scale.shards, scale.pack.c_str());
+              scale.shards, scale.threads, scale.pack.c_str());
 
   cfg.houses = scale.houses;
   cfg.duration = SimDuration::hours(scale.hours);
   cfg.seed = scale.seed;
   cfg.shards = scale.shards;
+  cfg.threads = scale.threads;
 
   CountingSink sink;
   const auto t0 = Clock::now();
@@ -111,13 +137,17 @@ int main(int argc, char** argv) {
     scenario::Town town{cfg};
     build_sec = std::chrono::duration<double>(Clock::now() - t0).count();
     town.attach_record_sink(&sink);
-    // Chunked run: a progress line per simulated hour keeps long runs
+    // Chunked run, as `simulate --binary-logs`: each shard buffers one
+    // chunk of records before the sink sees them, so the chunk bounds
+    // that memory. A progress line per simulated hour keeps long runs
     // observable without touching the event path.
-    const SimDuration chunk = SimDuration::min(60);
-    for (SimDuration done; done < cfg.duration; done += chunk) {
+    const SimDuration chunk = SimDuration::min(5);
+    for (SimDuration done; done < cfg.duration;) {
       town.run_for(std::min(chunk, cfg.duration - done));
+      done += chunk;
+      if (done.count_us() % SimDuration::hours(1).count_us() != 0) continue;
       std::printf("  t=%5.1f h  %llu conns + %llu dns streamed, peak RSS %.0f MiB\n",
-                  (done + chunk).to_sec() / 3600.0,
+                  done.to_sec() / 3600.0,
                   static_cast<unsigned long long>(sink.conns),
                   static_cast<unsigned long long>(sink.dns),
                   static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
@@ -151,13 +181,14 @@ int main(int argc, char** argv) {
       char buf[640];
       std::snprintf(buf, sizeof buf,
                     "{\"bench\":\"bench_city\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-                    "\"shards\":%zu,\"pack\":\"%s\",\"gen_sec\":%.3f,\"build_sec\":%.3f,"
+                    "\"shards\":%zu,\"threads\":%u,\"pack\":\"%s\",\"gen_sec\":%.3f,"
+                    "\"build_sec\":%.3f,"
                     "\"conns\":%llu,\"dns\":%llu,\"records_per_sec\":%.0f,"
                     "\"peak_rss_bytes\":%llu,\"rss_limit_mib\":%llu,"
                     "\"within_rss_bound\":%s}",
                     scale.houses, scale.hours,
                     static_cast<unsigned long long>(scale.seed), scale.shards,
-                    scale.pack.c_str(), gen_sec,
+                    scale.threads, scale.pack.c_str(), gen_sec,
                     build_sec, static_cast<unsigned long long>(sink.conns),
                     static_cast<unsigned long long>(sink.dns),
                     gen_sec > 0.0 ? static_cast<double>(records) / gen_sec : 0.0,

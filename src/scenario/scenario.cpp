@@ -83,6 +83,59 @@ std::vector<Rec> merge_sorted_shards(std::vector<std::vector<Rec>> parts, Key ke
   return out;
 }
 
+/// A shard's private record sink while the town has one attached. The
+/// monitor fills it from whichever thread runs the shard; the town's
+/// caller then replays it into the shared sink, in emission order.
+class RecordBuffer final : public capture::RecordSink {
+ public:
+  void on_conn(const capture::ConnRecord& rec) override {
+    conns_.push_back(rec);
+    order_.push_back(Kind::kConn);
+  }
+  void on_dns(const capture::DnsRecord& rec) override {
+    // Slots outlive replay_into(), so copying into a used one reuses its
+    // answer list's storage: no allocation per record once warm.
+    if (dns_used_ == dns_.size()) {
+      dns_.push_back(rec);
+    } else {
+      dns_[dns_used_] = rec;
+    }
+    ++dns_used_;
+    order_.push_back(Kind::kDns);
+  }
+  void on_encflow(const capture::EncFlowRecord& rec) override {
+    encflows_.push_back(rec);
+    order_.push_back(Kind::kEncFlow);
+  }
+
+  /// Deliver every buffered record to `sink` in the order it arrived,
+  /// then empty the buffer (keeping its storage for the next chunk).
+  void replay_into(capture::RecordSink& sink) {
+    std::size_t c = 0;
+    std::size_t d = 0;
+    std::size_t e = 0;
+    for (const Kind kind : order_) {
+      switch (kind) {
+        case Kind::kConn: sink.on_conn(conns_[c++]); break;
+        case Kind::kDns: sink.on_dns(dns_[d++]); break;
+        case Kind::kEncFlow: sink.on_encflow(encflows_[e++]); break;
+      }
+    }
+    order_.clear();
+    conns_.clear();
+    dns_used_ = 0;
+    encflows_.clear();
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kConn, kDns, kEncFlow };
+  std::vector<Kind> order_;
+  std::vector<capture::ConnRecord> conns_;
+  std::vector<capture::DnsRecord> dns_;  ///< the first dns_used_ are buffered
+  std::size_t dns_used_ = 0;
+  std::vector<capture::EncFlowRecord> encflows_;
+};
+
 }  // namespace
 
 struct Town::House {
@@ -111,6 +164,7 @@ struct Town::Shard {
   std::unique_ptr<netsim::TapTee> tee;           ///< fans the tap to both
   std::vector<std::unique_ptr<House>> houses;
   GroundTruth truth;
+  RecordBuffer records;  ///< the monitor's sink while the town has one attached
 };
 
 std::vector<Ipv4Addr> resolve_outage_target(const std::string& target) {
@@ -577,7 +631,15 @@ void Town::run() {
 
 void Town::attach_record_sink(capture::RecordSink* sink) {
   record_sink_ = sink;
-  for (const auto& shard : shards_) shard->monitor->set_record_sink(sink);
+  for (const auto& shard : shards_) {
+    shard->monitor->set_record_sink(sink != nullptr ? &shard->records : nullptr);
+  }
+}
+
+void Town::replay_records() {
+  if (record_sink_ == nullptr) return;
+  obs::StageSpan span{"sim/replay"};
+  for (const auto& shard : shards_) shard->records.replay_into(*record_sink_);
 }
 
 SimTime Town::record_watermark() const {
@@ -590,12 +652,11 @@ SimTime Town::record_watermark() const {
 
 void Town::run_for(SimDuration amount) {
   // Each shard's event loop is fully self-contained (its own network,
-  // platforms, farm, monitor); shards advance to the same end time in
-  // whatever thread interleaving, with identical per-shard results.
-  // A shared record sink is the one cross-shard mutable object — run
-  // sequentially while one is attached.
-  const unsigned threads = record_sink_ != nullptr ? 1 : cfg_.threads;
-  util::parallel_for_each(threads, shards_.size(), [&](std::size_t s) {
+  // platforms, farm, monitor, record buffer); shards advance to the same
+  // end time in whatever thread interleaving, with identical per-shard
+  // results. Replaying the buffers shard by shard afterwards makes the
+  // attached sink see what a one-thread loop over the shards would emit.
+  util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
     // Span label only materializes when metrics are on; the empty-string
     // span is the documented no-op.
     obs::StageSpan span{obs::enabled() ? "sim/shard" + std::to_string(s)
@@ -603,17 +664,18 @@ void Town::run_for(SimDuration amount) {
     netsim::Simulator& sim = *shards_[s]->sim;
     sim.run_until(sim.now() + amount);
   });
+  replay_records();
   ran_ += amount;
   refresh_truth();
 }
 
 capture::Dataset Town::harvest() {
   harvested_ = true;
-  const unsigned threads = record_sink_ != nullptr ? 1 : cfg_.threads;
   std::vector<capture::Dataset> parts(shards_.size());
-  util::parallel_for_each(threads, shards_.size(), [&](std::size_t s) {
+  util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
     parts[s] = shards_[s]->monitor->harvest(shards_[s]->sim->now());
   });
+  replay_records();
   refresh_truth();
   capture::Dataset fresh = merge_shard_datasets(std::move(parts));
   // run() drains the monitors into dataset_ itself, so the natural

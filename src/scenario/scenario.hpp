@@ -152,12 +152,17 @@ class Town {
   [[nodiscard]] capture::Dataset harvest();
 
   /// Stream records from every shard's monitor into `sink` instead of
-  /// materializing datasets (see Monitor::set_record_sink). The sink is
-  /// shared and not synchronized, so while one is attached run_for() and
-  /// harvest() execute shards sequentially regardless of `threads`.
-  /// Records arrive in finalization order per shard; drive a
-  /// stream::LiveFeed with record_watermark() after each run_for chunk
-  /// to recover the canonical time-sorted order.
+  /// materializing datasets (see Monitor::set_record_sink); nullptr
+  /// detaches. Shards still run on `threads` threads: each monitor
+  /// writes into a buffer its shard owns, and before run_for() and
+  /// harvest() return, the calling thread replays the buffers into
+  /// `sink` — shard 0's records first, each shard's in emission order.
+  /// That is the sequence a one-thread run makes, so the sink sees the
+  /// same calls for every thread count, only ever from the caller's
+  /// thread, and needs no synchronization. Records arrive in
+  /// finalization order per shard; drive a stream::LiveFeed with
+  /// record_watermark() after each run_for chunk to recover the
+  /// canonical time-sorted order.
   void attach_record_sink(capture::RecordSink* sink);
 
   /// Reordering bound across all shards: no record emitted after this
@@ -215,6 +220,8 @@ class Town {
   void build_house(Shard& shard, std::size_t index, const std::string& profile,
                    bool p2p_house);
   void refresh_truth();
+  /// Hand every shard's buffered records to record_sink_, shard by shard.
+  void replay_records();
   [[nodiscard]] std::vector<std::string> assign_profiles() const;
   [[nodiscard]] std::vector<bool> assign_p2p() const;
 

@@ -1,6 +1,8 @@
 // Unit tests for DNS domain names.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dns/name.hpp"
 
 namespace dnsctx::dns {
@@ -26,6 +28,12 @@ struct NameCase {
   const char* text;
   bool ok;
 };
+
+// Names each case after its literal. Without this, gtest prints the struct as
+// raw bytes, pointer included, and the discovered test names change per run.
+void PrintTo(const NameCase& c, std::ostream* os) {
+  *os << "{\"" << c.text << "\", " << (c.ok ? "true" : "false") << "}";
+}
 
 class NameParseTest : public ::testing::TestWithParam<NameCase> {};
 

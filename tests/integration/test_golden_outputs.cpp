@@ -84,8 +84,10 @@ constexpr int kHours = 3;
   return out;
 }
 
-[[nodiscard]] std::string render_exports(const analysis::Study& s) {
-  const auto dir = std::filesystem::temp_directory_path() / "dnsctx_golden_csv";
+// `tag` keeps the scratch directory per case: ctest runs the cases as
+// concurrent processes, which must not share (and delete) one directory.
+[[nodiscard]] std::string render_exports(const analysis::Study& s, const std::string& tag) {
+  const auto dir = std::filesystem::temp_directory_path() / ("dnsctx_golden_csv_" + tag);
   std::filesystem::create_directories(dir);
   const std::size_t written = analysis::export_study_csv(s, dir.string());
   std::string out = strfmt("csv files: %zu\n", written);
@@ -195,7 +197,7 @@ TEST_P(Golden, BatchReportExportsAndStream) {
   const auto study = analysis::run_study(ds);
   const auto tag = strfmt("seed%llu_shards%zu", static_cast<unsigned long long>(seed), shards);
   check_golden("batch_" + tag, render_batch(ds, study));
-  check_golden("export_" + tag, render_exports(study));
+  check_golden("export_" + tag, render_exports(study, tag));
   check_golden("stream_" + tag, render_stream(ds));
 }
 

@@ -3,13 +3,20 @@
 // analysis result are identical for ANY thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <set>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "analysis/study.hpp"
 #include "capture/logio.hpp"
 #include "scenario/scenario.hpp"
+#include "stream/feed.hpp"
+#include "stream/spool.hpp"
 
 namespace dnsctx {
 namespace {
@@ -176,6 +183,217 @@ TEST(ParallelDeterminism, SingleShardMatchesLegacySeedStream) {
   scenario::Town b{cfg};
   b.run();
   EXPECT_EQ(serialize(a.dataset()), serialize(b.dataset()));
+}
+
+// ---- sink mode: records streamed through Town::attach_record_sink ----
+
+/// Records every record-sink call in order — which kind, and each kind's
+/// records — plus the key time and house address of each, and forwards
+/// it downstream.
+struct CallLog final : capture::RecordSink {
+  explicit CallLog(capture::RecordSink& downstream) : next{&downstream} {}
+
+  void on_conn(const capture::ConnRecord& rec) override {
+    order += 'c';
+    ds.conns.push_back(rec);
+    keys.push_back(rec.start);
+    houses.push_back(rec.orig_ip);
+    next->on_conn(rec);
+  }
+  void on_dns(const capture::DnsRecord& rec) override {
+    order += 'd';
+    ds.dns.push_back(rec);
+    keys.push_back(rec.ts);
+    houses.push_back(rec.client_ip);
+    next->on_dns(rec);
+  }
+  void on_encflow(const capture::EncFlowRecord& rec) override {
+    order += 'e';
+    ds.encflows.push_back(rec);
+    keys.push_back(rec.start);
+    houses.push_back(rec.client_ip);
+    next->on_encflow(rec);
+  }
+
+  /// The whole call sequence: the kind order fixes how the per-kind
+  /// sequences interleave.
+  [[nodiscard]] std::string serialize() const {
+    std::ostringstream ss;
+    ss << order << '\n';
+    capture::write_conn_log(ss, ds.conns);
+    capture::write_dns_log(ss, ds.dns);
+    capture::write_encflow_log(ss, ds.encflows);
+    return ss.str();
+  }
+
+  capture::RecordSink* next;
+  std::string order;
+  capture::Dataset ds;
+  std::vector<SimTime> keys;
+  std::vector<Ipv4Addr> houses;
+};
+
+struct NullSink final : capture::RecordSink {
+  void on_conn(const capture::ConnRecord&) override {}
+  void on_dns(const capture::DnsRecord&) override {}
+};
+
+struct SinkRun {
+  std::string calls;  ///< CallLog::serialize()
+  std::string spool;  ///< every segment file's name and bytes, in listing order
+  std::size_t conns = 0;
+  std::size_t dns = 0;
+  std::size_t encflows = 0;
+};
+
+[[nodiscard]] scenario::ScenarioConfig sink_config(std::size_t shards, unsigned threads) {
+  scenario::ScenarioConfig cfg;
+  cfg.houses = 16;
+  cfg.duration = SimDuration::hours(1);
+  cfg.seed = 2020;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  return cfg;
+}
+
+/// Capture `cfg` the way `simulate --binary-logs` does — chunked
+/// run_for() with a LiveFeed drained to record_watermark(), then
+/// harvest() — into a v2 spool, logging every sink call on the way.
+[[nodiscard]] SinkRun run_with_sink(const scenario::ScenarioConfig& cfg) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dnsctx_sink_mode_" + std::to_string(::getpid()) + "_" +
+                        std::to_string(cfg.shards) + "_" + std::to_string(cfg.threads));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  SinkRun out;
+  {
+    stream::SpoolWriter writer{dir.string()};
+    stream::LiveFeed feed{writer};
+    CallLog log{feed};
+    scenario::Town town{cfg};
+    town.attach_record_sink(&log);
+    const SimDuration chunk = SimDuration::min(10);
+    for (SimDuration done; done < cfg.duration; done += chunk) {
+      town.run_for(std::min(chunk, cfg.duration - done));
+      feed.drain(town.record_watermark());
+    }
+    const capture::Dataset leftover = town.harvest();
+    EXPECT_TRUE(leftover.conns.empty() && leftover.dns.empty() && leftover.encflows.empty());
+    feed.close();
+    writer.flush();
+    out.calls = log.serialize();
+    out.conns = log.ds.conns.size();
+    out.dns = log.ds.dns.size();
+    out.encflows = log.ds.encflows.size();
+  }
+  const auto listing = stream::list_spool(dir.string());
+  for (const auto* paths : {&listing.conn_segments, &listing.dns_segments,
+                            &listing.enc_segments}) {
+    for (const auto& path : *paths) {
+      std::ifstream in{path, std::ios::binary};
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      out.spool += fs::path{path}.filename().string() + '\n' + bytes.str();
+    }
+  }
+  fs::remove_all(dir);
+  return out;
+}
+
+TEST(ParallelDeterminism, SinkModeCallsAndSpoolAreIdenticalForAnyThreadCount) {
+  for (const std::size_t shards : {1u, 4u, 8u}) {
+    const SinkRun base = run_with_sink(sink_config(shards, 1));
+    ASSERT_GT(base.conns, 0u) << "shards = " << shards;
+    ASSERT_GT(base.dns, 0u) << "shards = " << shards;
+    for (const unsigned threads : {2u, 4u}) {
+      const SinkRun run = run_with_sink(sink_config(shards, threads));
+      EXPECT_EQ(run.calls, base.calls) << "shards = " << shards << ", threads = " << threads;
+      EXPECT_EQ(run.spool, base.spool) << "shards = " << shards << ", threads = " << threads;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, SinkModeEncFlowsAreIdenticalForAnyThreadCount) {
+  auto cfg = sink_config(4, 1);
+  cfg.transport = netsim::Transport::kDoT;
+  const SinkRun base = run_with_sink(cfg);
+  ASSERT_GT(base.encflows, 0u);
+  for (const unsigned threads : {2u, 4u}) {
+    cfg.threads = threads;
+    const SinkRun run = run_with_sink(cfg);
+    EXPECT_EQ(run.calls, base.calls) << "threads = " << threads;
+    EXPECT_EQ(run.spool, base.spool) << "threads = " << threads;
+  }
+}
+
+/// A chunked sink-mode capture with what was known after each chunk.
+struct ChunkedCapture {
+  CallLog log;
+  std::vector<std::size_t> calls_before;  ///< sink calls made when chunk k returned
+  std::vector<SimTime> watermarks;        ///< record_watermark() after chunk k
+  std::vector<std::size_t> shard_of;      ///< shard of each sink call's house
+};
+
+[[nodiscard]] ChunkedCapture capture_chunks(const scenario::ScenarioConfig& cfg) {
+  static NullSink null;
+  ChunkedCapture out{CallLog{null}, {}, {}, {}};
+  scenario::Town town{cfg};
+  town.attach_record_sink(&out.log);
+  const SimDuration chunk = SimDuration::min(10);
+  for (SimDuration done; done < cfg.duration; done += chunk) {
+    town.run_for(std::min(chunk, cfg.duration - done));
+    out.calls_before.push_back(out.log.keys.size());
+    out.watermarks.push_back(town.record_watermark());
+  }
+  (void)town.harvest();
+  // Shards own contiguous house ranges: shard s has houses
+  // [s * houses / shards, (s + 1) * houses / shards).
+  const auto& houses = town.houses();
+  for (const Ipv4Addr addr : out.log.houses) {
+    const auto it = std::find_if(houses.begin(), houses.end(),
+                                 [&](const auto& h) { return h.external_ip == addr; });
+    EXPECT_NE(it, houses.end()) << addr.to_string() << " is no house";
+    const auto house = static_cast<std::size_t>(it - houses.begin());
+    std::size_t shard = 0;
+    while ((shard + 1) * houses.size() / town.shard_count() <= house) ++shard;
+    out.shard_of.push_back(shard);
+  }
+  return out;
+}
+
+TEST(ParallelDeterminism, SinkModeWatermarkBoundsLaterRecords) {
+  const ChunkedCapture cap = capture_chunks(sink_config(4, 4));
+  const auto& keys = cap.log.keys;
+  ASSERT_GT(keys.size(), cap.calls_before.front());
+
+  // earliest_from[i]: the earliest key time among calls i, i+1, ...
+  std::vector<SimTime> earliest_from(keys.size() + 1, SimTime::max());
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    earliest_from[i] = std::min(keys[i], earliest_from[i + 1]);
+  }
+  for (std::size_t k = 0; k < cap.watermarks.size(); ++k) {
+    EXPECT_LE(cap.watermarks[k].count_us(), earliest_from[cap.calls_before[k]].count_us())
+        << "watermark after chunk " << k;
+  }
+}
+
+TEST(ParallelDeterminism, SinkModeReplaysEachChunkInShardOrder) {
+  const ChunkedCapture cap = capture_chunks(sink_config(4, 4));
+  ASSERT_EQ(cap.shard_of.size(), cap.log.keys.size());
+  std::set<std::size_t> shards_seen;
+  std::size_t chunk_begin = 0;
+  // The final boundary is the end of harvest()'s flush.
+  auto bounds = cap.calls_before;
+  bounds.push_back(cap.shard_of.size());
+  for (const std::size_t chunk_end : bounds) {
+    for (std::size_t i = chunk_begin + 1; i < chunk_end; ++i) {
+      ASSERT_LE(cap.shard_of[i - 1], cap.shard_of[i]) << "sink call " << i;
+    }
+    for (std::size_t i = chunk_begin; i < chunk_end; ++i) shards_seen.insert(cap.shard_of[i]);
+    chunk_begin = chunk_end;
+  }
+  EXPECT_EQ(shards_seen.size(), 4u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for IPv4 addressing and five-tuples.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/ip.hpp"
 
 namespace dnsctx {
@@ -21,6 +23,12 @@ struct ParseCase {
   const char* text;
   bool ok;
 };
+
+// Names each case after its literal. Without this, gtest prints the struct as
+// raw bytes, pointer included, and the discovered test names change per run.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << "{\"" << c.text << "\", " << (c.ok ? "true" : "false") << "}";
+}
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

@@ -14,7 +14,10 @@ Records are matched by a scenario key; for each metric that appears in
 both files the relative change is printed, and the script exits 1 when
 any LOWER-IS-BETTER metric regresses by more than ``--threshold``
 (default 10%). Metrics present on only one side are reported but never
-fail the comparison, so baselines survive adding new benches.
+fail the comparison, so baselines survive adding new benches. A record
+from a run that did no work (``conns + dns == 0``, or
+``records_per_sec == 0``) is an error in either file: the script exits
+nonzero naming it.
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ def as_float(value) -> float | None:
         return None
 
 
+def no_work(rec) -> str | None:
+    """Why `rec` records a run that did no work, or None.
+
+    Only fields the record carries are checked, so benches that report
+    neither record counts nor a record rate are never rejected.
+    """
+    conns, dns = as_float(rec.get("conns")), as_float(rec.get("dns"))
+    if (conns is not None or dns is not None) and (conns or 0.0) + (dns or 0.0) == 0:
+        return "conns + dns == 0"
+    if as_float(rec.get("records_per_sec")) == 0:
+        return "records_per_sec == 0"
+    return None
+
+
 def load_records(path: Path) -> dict[str, dict[str, float]]:
     """Parse a bench file into {record_key: {metric: value}}."""
     text = path.read_text()
@@ -143,6 +160,9 @@ def load_records(path: Path) -> dict[str, dict[str, float]]:
                 bench, rec.get("houses"), rec.get("hours"), rec.get("seed"),
                 rec.get("threads", 1), rec.get("shards", 1),
                 rec.get("transport", "do53"), rec.get("pack", "default"))
+            reason = no_work(rec)
+            if reason is not None:
+                sys.exit(f"{path}:{line_no}: {key}: did no work ({reason})")
             metrics = {}
             watched = WATCHED_METRICS.get(bench, []) + HIGHER_IS_BETTER_METRICS.get(
                 bench, [])

@@ -280,6 +280,23 @@ class LoadRecordsTest(unittest.TestCase):
         finally:
             sys.argv = argv
 
+    def test_record_that_did_no_work_is_rejected(self):
+        # A run with zero records must fail the comparison, naming the
+        # record, whichever file it sits in.
+        good = {"bench": "bench_city", "houses": 500, "hours": 1, "seed": 42,
+                "conns": 10, "dns": 12, "records_per_sec": 100.0,
+                "peak_rss_bytes": 1000}
+        base = write_lines(self.dir, "base.json", [good])
+        for empty in ({"conns": 0, "dns": 0}, {"records_per_sec": 0}):
+            curr = write_lines(self.dir, "curr.json", [{**good, **empty}])
+            for args in ((base, curr), (curr, base)):
+                with self.subTest(empty=empty, args=args):
+                    with self.assertRaises(SystemExit) as cm:
+                        self._run_main(*args)
+                    self.assertIn("bench_city/houses=500", str(cm.exception.code))
+                    self.assertIn("did no work", str(cm.exception.code))
+        self.assertEqual(self._run_main(base, base), 0)
+
     def test_regression_still_detected(self):
         base = write_lines(self.dir, "base.json", [
             {"bench": "Table 1", "houses": 4, "hours": 1, "seed": 42,
