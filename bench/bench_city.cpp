@@ -24,7 +24,6 @@
 // runs 500 houses under such a bound). `--json PATH` appends a one-line
 // timing record compatible with tools/bench_compare.py.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -51,38 +50,27 @@ struct CityScale {
   std::string pack = "default";   ///< pack name for the JSON record key
 };
 
-/// The value of numeric flag `flag`: all of `text` must be a base-10
-/// integer in [lo, hi], or the bench exits 2 naming the flag.
-std::uint64_t number(const char* flag, const char* text, std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
-    std::fprintf(stderr, "bench_city: %s expects an integer in [%llu, %llu], got '%s'\n", flag,
-                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
 CityScale parse_args(int argc, char** argv) {
   CityScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+  auto number = [&](const char* flag, int& i, std::uint64_t lo, std::uint64_t hi) {
+    return bench::number("bench_city", flag, value(i), lo, hi);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--houses") == 0) {
-      s.houses = number(flag, value(i), 1, 1'000'000);
+      s.houses = number(flag, i, 1, 1'000'000);
     } else if (std::strcmp(flag, "--hours") == 0) {
-      s.hours = static_cast<int>(number(flag, value(i), 1, 24 * 365));
+      s.hours = static_cast<int>(number(flag, i, 1, 24 * 365));
     } else if (std::strcmp(flag, "--seed") == 0) {
-      s.seed = number(flag, value(i), 0, UINT64_MAX);
+      s.seed = number(flag, i, 0, UINT64_MAX);
     } else if (std::strcmp(flag, "--shards") == 0) {
-      s.shards = number(flag, value(i), 1, 1024);
+      s.shards = number(flag, i, 1, 1024);
     } else if (std::strcmp(flag, "--threads") == 0) {
-      s.threads = static_cast<unsigned>(number(flag, value(i), 1, 256));
+      s.threads = static_cast<unsigned>(number(flag, i, 1, 256));
     } else if (std::strcmp(flag, "--max-rss-mib") == 0) {
-      s.max_rss_mib = number(flag, value(i), 0, 1u << 30);
+      s.max_rss_mib = number(flag, i, 0, 1u << 30);
     } else if (std::strcmp(flag, "--json") == 0) {
       s.json_path = value(i);
     } else if (std::strcmp(flag, "--pack") == 0) {

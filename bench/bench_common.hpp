@@ -20,7 +20,9 @@
 // scrape to FILE (.json -> JSON document, otherwise Prometheus text).
 #pragma once
 
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +49,21 @@ namespace dnsctx::bench {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // ru_maxrss is KiB on Linux
+}
+
+/// The value of numeric flag `flag`: all of `text` must be a base-10
+/// integer in [lo, hi], or `bench` exits 2 naming the flag.
+[[nodiscard]] inline std::uint64_t number(const char* bench, const char* flag, const char* text,
+                                          std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: %s expects an integer in [%llu, %llu], got '%s'\n", bench, flag,
+                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+  }
+  return v;
 }
 
 struct BenchScale {

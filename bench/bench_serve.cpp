@@ -23,6 +23,9 @@
 //
 //   bench_serve [--houses N] [--hours H] [--seed S] [--faults SPEC]
 //               [--segment-records N] [--json PATH]
+//
+// Numeric flags are strict: a value that is not a whole number in range
+// (zero houses or hours included) exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,21 +63,25 @@ ServeScale parse_args(int argc, char** argv) {
   ServeScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+  auto number = [&](const char* flag, int& i, std::uint64_t lo, std::uint64_t hi) {
+    return bench::number("bench_serve", flag, value(i), lo, hi);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--houses") == 0) {
+      s.houses = number(flag, i, 1, 1'000'000);
+    } else if (std::strcmp(flag, "--hours") == 0) {
+      s.hours = static_cast<int>(number(flag, i, 1, 24 * 365));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      s.seed = number(flag, i, 0, UINT64_MAX);
+    } else if (std::strcmp(flag, "--faults") == 0) {
       s.faults = value(i);
-    } else if (std::strcmp(argv[i], "--segment-records") == 0) {
-      s.segment_records = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    } else if (std::strcmp(flag, "--segment-records") == 0) {
+      s.segment_records = number(flag, i, 1, 1'000'000);
+    } else if (std::strcmp(flag, "--json") == 0) {
       s.json_path = value(i);
     } else {
-      std::fprintf(stderr, "bench_serve: unknown argument %s\n", argv[i]);
+      std::fprintf(stderr, "bench_serve: unknown argument %s\n", flag);
       std::exit(2);
     }
   }

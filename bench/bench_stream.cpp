@@ -13,6 +13,9 @@
 //
 //   bench_stream [--houses N] [--hours H] [--seed S] [--shards N]
 //                [--spool DIR] [--json PATH]
+//
+// Numeric flags are strict: a value that is not a whole number in range
+// (zero houses or hours included) exits 2.
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -41,23 +44,27 @@ StreamScale parse_args(int argc, char** argv) {
   StreamScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+  auto number = [&](const char* flag, int& i, std::uint64_t lo, std::uint64_t hi) {
+    return bench::number("bench_stream", flag, value(i), lo, hi);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      s.shards = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--spool") == 0) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--houses") == 0) {
+      s.houses = number(flag, i, 1, 1'000'000);
+    } else if (std::strcmp(flag, "--hours") == 0) {
+      s.hours = static_cast<int>(number(flag, i, 1, 24 * 365));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      s.seed = number(flag, i, 0, UINT64_MAX);
+    } else if (std::strcmp(flag, "--shards") == 0) {
+      s.shards = number(flag, i, 1, 1024);
+    } else if (std::strcmp(flag, "--spool") == 0) {
       s.spool_dir = value(i);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    } else if (std::strcmp(flag, "--json") == 0) {
       s.json_path = value(i);
-    } else if (std::strcmp(argv[i], "--phase") == 0) {
+    } else if (std::strcmp(flag, "--phase") == 0) {
       s.phase = value(i);
     } else {
-      std::fprintf(stderr, "bench_stream: unknown argument %s\n", argv[i]);
+      std::fprintf(stderr, "bench_stream: unknown argument %s\n", flag);
       std::exit(2);
     }
   }

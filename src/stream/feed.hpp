@@ -4,22 +4,30 @@
 // it closes, a DNS transaction when its response (or timeout) arrives.
 // The online study engine, like the spool writer, requires timestamp
 // order (conn keyed by `start`, dns by `ts`). LiveFeed bridges the two:
-// it buffers finalized records in a priority queue and, whenever the
-// producer advances the watermark — a promise that no future record will
-// carry a key time at or before it — releases everything up to the
-// watermark in the canonical order:
+// it buffers finalized records and, whenever the producer advances the
+// watermark — a promise that no future record will carry a key time at
+// or before it — releases everything up to the watermark in the
+// canonical order:
 //
-//   (key time, DNS before conn at ties, arrival order)
+//   (key time, DNS before conn before enc at ties, arrival order)
 //
 // That is exactly the order replay_spool / replay_dataset deliver, so a
 // live run and a batch run over the harvested logs feed the engine the
 // same sequence. Memory is bounded by the records still inside the open
 // window (watermark .. now), not the run length.
+//
+// A city-scale window holds a million records or more, so the records
+// themselves never move: each one is copied into a slot of its kind's
+// slot vector, and only a 24-byte handle — (key, kind << 62 | arrival
+// seq, slot) — goes through the binary heap. A released slot goes on a
+// free list and is overwritten by a later record; DNS slots keep their
+// answer list's storage, so once the window is warm buffering a record
+// allocates nothing. A drain that releases a large share of the window
+// (close() releases all of it) sorts the due handles once instead of
+// popping each through the heap.
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <variant>
 #include <vector>
 
 #include "capture/records.hpp"
@@ -41,28 +49,50 @@ class LiveFeed : public capture::RecordSink {
   /// Release everything still buffered (end of run).
   void close();
 
-  [[nodiscard]] std::size_t buffered() const { return queue_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return heap_.size(); }
   [[nodiscard]] std::size_t peak_buffered() const { return peak_buffered_; }
 
  private:
-  struct Entry {
-    SimTime key;
-    std::uint8_t kind;  ///< 0 = dns, 1 = conn, 2 = enc — ascending tie order
-    std::uint64_t seq;
-    std::variant<capture::ConnRecord, capture::DnsRecord, capture::EncFlowRecord> rec;
+  /// Kinds in ascending tie order; stored in the top two bits of
+  /// Handle::kind_seq so one integer compare orders kind, then arrival.
+  enum Kind : std::uint64_t { kDns = 0, kConn = 1, kEnc = 2 };
+  static constexpr int kKindShift = 62;
+
+  struct Handle {
+    std::int64_t key_us = 0;
+    std::uint64_t kind_seq = 0;
+    std::uint32_t slot = 0;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.key != b.key) return a.key > b.key;
-      if (a.kind != b.kind) return a.kind > b.kind;
-      return a.seq > b.seq;
-    }
+  /// Heap order: `a` is released after `b`.
+  [[nodiscard]] static bool later(const Handle& a, const Handle& b) {
+    return a.key_us != b.key_us ? a.key_us > b.key_us : a.kind_seq > b.kind_seq;
+  }
+
+  /// One kind's buffered records; `free` lists the slots not in use.
+  template <typename Rec>
+  struct Slots {
+    std::vector<Rec> recs;
+    std::vector<std::uint32_t> free;
+    [[nodiscard]] std::uint32_t put(const Rec& rec);
   };
 
-  void push(Entry e);
+  template <typename Rec>
+  void push(Slots<Rec>& slots, Kind kind, SimTime key, const Rec& rec);
+  /// Hand `h`'s record downstream, then free its slot.
+  void deliver(const Handle& h);
+  /// Release every record with key <= `upto` by one partition and sort
+  /// of the handles; returns how many.
+  std::size_t release_sorted(std::int64_t upto);
+
+  /// A drain pops at most this share of the window one by one before
+  /// switching to release_sorted().
+  static constexpr std::size_t kSortShare = 16;
 
   capture::RecordSink* downstream_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Handle> heap_;  ///< binary heap, earliest on top
+  Slots<capture::DnsRecord> dns_;
+  Slots<capture::ConnRecord> conns_;
+  Slots<capture::EncFlowRecord> encflows_;
   std::uint64_t next_seq_ = 0;
   std::size_t peak_buffered_ = 0;
 };

@@ -1,6 +1,9 @@
 #include "stream/segment.hpp"
 
 #include <array>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -185,10 +188,21 @@ SegmentData parse_segment(std::string_view bytes, const std::string& source) {
 }
 
 void write_segment_file(const std::string& path, std::string_view blob) {
-  std::ofstream os{path, std::ios::binary};
-  if (!os) throw std::runtime_error{"cannot open " + path};
+  const std::string tmp = path + ".tmp";
+  std::ofstream os{tmp, std::ios::binary};
+  if (!os) throw std::runtime_error{"cannot open " + tmp};
   os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!os) throw std::runtime_error{"short write to " + path};
+  os.close();
+  if (!os) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error{"short write to " + tmp};
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw std::runtime_error{"cannot rename " + tmp + " to " + path + ": " +
+                             std::strerror(err)};
+  }
 }
 
 SegmentData read_segment_file(const std::string& path) {

@@ -105,7 +105,8 @@ struct SegmentData {
 [[nodiscard]] SegmentHeader parse_segment_header(std::string_view bytes,
                                                  const std::string& source);
 
-/// File conveniences.
+/// File conveniences. write_segment_file writes `<path>.tmp` and renames
+/// it to `path`, so a reader listing `*.seg` never sees a partial file.
 void write_segment_file(const std::string& path, std::string_view blob);
 [[nodiscard]] SegmentData read_segment_file(const std::string& path);
 

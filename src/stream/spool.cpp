@@ -1,11 +1,17 @@
 #include "stream/spool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "capture/logio.hpp"
 #include "obs/metrics.hpp"
@@ -177,6 +183,92 @@ class VectorStream {
 
 // ---- SpoolWriter -----------------------------------------------------------
 
+struct SpoolWriter::Sealing {
+  OpenSegment* owner = nullptr;  ///< takes a v2 builder back as a spare
+  std::string path;
+  std::uint32_t records = 0;
+  std::uint64_t raw_bytes = 0;
+  std::unique_ptr<SegmentBuilderV2> builder;  ///< v2 only; returned to the spares
+  // Written by whoever seals the segment; read by the writer's thread
+  // only once `sealed` is set.
+  std::string blob;
+  std::exception_ptr error;
+  std::atomic<bool> sealed = false;
+};
+
+/// A fixed pool of threads running SegmentBuilderV2::build() on handed
+/// off segments, oldest first. The writer owns every Sealing; a worker
+/// touches one only between taking it from the queue and marking it
+/// sealed.
+class SpoolWriter::Sealer {
+ public:
+  Sealer() {
+    workers_.reserve(kSealWorkers);
+    try {
+      for (std::size_t i = 0; i < kSealWorkers; ++i) workers_.emplace_back([this] { work(); });
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  Sealer(const Sealer&) = delete;
+  Sealer& operator=(const Sealer&) = delete;
+  ~Sealer() { stop(); }
+
+  void submit(Sealing* s) {
+    {
+      const std::lock_guard lock{mu_};
+      queue_.push_back(s);
+    }
+    work_cv_.notify_one();
+  }
+
+  void wait(const Sealing& s) {
+    std::unique_lock lock{mu_};
+    sealed_cv_.wait(lock, [&s] { return s.sealed.load(); });
+  }
+
+ private:
+  void stop() {
+    {
+      const std::lock_guard lock{mu_};
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (auto& t : workers_) t.join();
+  }
+
+  void work() {
+    for (;;) {
+      Sealing* s = nullptr;
+      {
+        std::unique_lock lock{mu_};
+        work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) return;
+        s = queue_.front();
+        queue_.pop_front();
+      }
+      try {
+        s->blob = s->builder->build();  // resets the builder for reuse
+      } catch (...) {
+        s->error = std::current_exception();
+      }
+      {
+        const std::lock_guard lock{mu_};
+        s->sealed = true;
+      }
+      sealed_cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable sealed_cv_;
+  std::deque<Sealing*> queue_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
+};
+
 SpoolWriter::SpoolWriter(std::string dir, SpoolConfig cfg)
     : dir_{std::move(dir)}, cfg_{cfg} {
   if (cfg_.max_records_per_segment == 0) {
@@ -234,29 +326,66 @@ void SpoolWriter::add(OpenSegment& seg, RecordKind kind, const Rec& rec, SimTime
 
 void SpoolWriter::rotate(OpenSegment& seg, RecordKind kind) {
   if (seg.count == 0) return;
-  std::uint64_t raw_bytes;
-  std::string blob;
+  auto sealing = std::make_unique<Sealing>();
+  sealing->owner = &seg;
+  sealing->path = (fs::path{dir_} / segment_name(kind, seg.next_seq)).string();
+  sealing->records = seg.count;
   if (seg.v2) {
-    raw_bytes = seg.v2->raw_bytes();
-    blob = seg.v2->build();  // resets the builder for the next segment
+    // Hand the full builder to a worker and carry on with a spare one.
+    if (!sealer_) sealer_ = std::make_unique<Sealer>();
+    std::unique_ptr<SegmentBuilderV2> next;
+    if (seg.spare_v2.empty()) {
+      next = std::make_unique<SegmentBuilderV2>(kind, cfg_.codec);
+    } else {
+      next = std::move(seg.spare_v2.back());
+      seg.spare_v2.pop_back();
+    }
+    sealing->raw_bytes = seg.v2->raw_bytes();
+    sealing->builder = std::exchange(seg.v2, std::move(next));
   } else {
-    raw_bytes = seg.payload.size();
-    blob = build_segment(kind, seg.count, seg.first, seg.last, seg.payload);
+    // v1 and enc segments are built here; the queue still keeps each one
+    // behind every segment rotated before it.
+    sealing->raw_bytes = seg.payload.size();
+    sealing->blob = build_segment(kind, sealing->records, seg.first, seg.last, seg.payload);
+    sealing->sealed = true;
     seg.payload.clear();
   }
-  write_segment_file((fs::path{dir_} / segment_name(kind, seg.next_seq)).string(), blob);
   ++seg.next_seq;
-  ++segments_written_;
-  if (obs::enabled()) {
-    auto& reg = obs::registry();
-    reg.counter("spool_segment_rotations_total").add();
-    reg.counter("spool_bytes_written_total").add(blob.size());
-    // Pre-compression payload bytes: spool_raw_bytes_total /
-    // spool_bytes_written_total approximates the compression ratio.
-    reg.counter("spool_raw_bytes_total").add(raw_bytes);
-    reg.counter("spool_records_written_total").add(seg.count);
-  }
   seg.count = 0;
+  queue_.push_back(std::move(sealing));
+  if (!queue_.back()->sealed) sealer_->submit(queue_.back().get());
+  retire(kSealWorkers);
+}
+
+void SpoolWriter::retire(std::size_t max_queued) {
+  while (!queue_.empty()) {
+    const Sealing& head = *queue_.front();
+    if (!head.sealed) {
+      if (queue_.size() <= max_queued) return;
+      sealer_->wait(head);
+    }
+    const std::unique_ptr<Sealing> done = std::move(queue_.front());
+    queue_.pop_front();
+    if (done->error) {
+      try {
+        std::rethrow_exception(done->error);
+      } catch (const std::exception& e) {
+        throw std::runtime_error{strfmt("%s: %s", done->path.c_str(), e.what())};
+      }
+    }
+    if (done->builder) done->owner->spare_v2.push_back(std::move(done->builder));
+    write_segment_file(done->path, done->blob);
+    ++segments_written_;
+    if (obs::enabled()) {
+      auto& reg = obs::registry();
+      reg.counter("spool_segment_rotations_total").add();
+      reg.counter("spool_bytes_written_total").add(done->blob.size());
+      // Pre-compression payload bytes: spool_raw_bytes_total /
+      // spool_bytes_written_total approximates the compression ratio.
+      reg.counter("spool_raw_bytes_total").add(done->raw_bytes);
+      reg.counter("spool_records_written_total").add(done->records);
+    }
+  }
 }
 
 void SpoolWriter::on_conn(const capture::ConnRecord& rec) {
@@ -272,9 +401,21 @@ void SpoolWriter::on_encflow(const capture::EncFlowRecord& rec) {
 }
 
 void SpoolWriter::flush() {
-  rotate(conn_, RecordKind::kConn);
-  rotate(dns_, RecordKind::kDns);
-  rotate(enc_, RecordKind::kEncFlow);
+  // Attempt every step, so one bad segment does not strand the others in
+  // memory; report the first failure.
+  std::exception_ptr first;
+  const auto attempt = [&first](auto&& step) {
+    try {
+      step();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  };
+  attempt([this] { rotate(conn_, RecordKind::kConn); });
+  attempt([this] { rotate(dns_, RecordKind::kDns); });
+  attempt([this] { rotate(enc_, RecordKind::kEncFlow); });
+  while (!queue_.empty()) attempt([this] { retire(0); });
+  if (first) std::rethrow_exception(first);
 }
 
 // ---- reading ---------------------------------------------------------------

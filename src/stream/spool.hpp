@@ -12,8 +12,12 @@
 // The writer rotates the open segment when it reaches a record-count or
 // sim-time-span limit, so a live monitor produces a steady trickle of
 // finished, CRC-protected files that a follower can consume while the
-// producer keeps appending. Records must arrive in nondecreasing
-// timestamp order per kind (the writer throws otherwise); the reader
+// producer keeps appending. v2 segments are sealed (dictionary reorder,
+// column remap, compression, CRC) on background threads; the writer's
+// own thread writes the finished files in rotation order, each under a
+// temporary name renamed into place, so a follower only ever lists
+// whole segments and sees each kind's sequence without gaps. Records
+// must arrive in nondecreasing timestamp order per kind (the writer throws otherwise); the reader
 // re-validates that invariant within and across segments so corrupt or
 // misassembled spools fail loudly instead of silently skewing a study.
 //
@@ -22,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,8 +55,23 @@ struct SpoolConfig {
 
 /// Writes records into a spool directory, rotating segments per config.
 /// Implements RecordSink so a time-sorted feed can drive it directly.
+///
+/// A rotated v2 segment is handed to one of kSealWorkers background
+/// threads, which builds its blob while the caller goes on with a spare
+/// builder. The caller writes finished blobs to disk in rotation order
+/// at later rotations, waiting only when kSealWorkers segments are
+/// already in flight. v1 and enc segments are built on the caller's
+/// thread and written as soon as no earlier segment is still sealing.
+/// Files, and the spool_* counters (bumped on the caller's thread as
+/// each file is written), are exactly what a one-segment-at-a-time
+/// writer produces; all of them are on disk once flush() returns.
 class SpoolWriter : public capture::RecordSink {
  public:
+  /// Threads sealing v2 segments. One leaves the end-of-run burst of
+  /// rotations serial; on a 4-core host a third bought no measurable
+  /// speed for ~30 MiB more peak RSS in a 2000-house capture.
+  static constexpr std::size_t kSealWorkers = 2;
+
   SpoolWriter(std::string dir, SpoolConfig cfg = {});
   ~SpoolWriter() override;
 
@@ -59,11 +79,15 @@ class SpoolWriter : public capture::RecordSink {
   void on_dns(const capture::DnsRecord& rec) override;
   void on_encflow(const capture::EncFlowRecord& rec) override;
 
-  /// Close the open segments (writing any buffered records). Called by
-  /// the destructor, but callers that need the files on disk at a known
-  /// point (or want write errors surfaced) should call it explicitly.
+  /// Close the open segments, wait for every segment still being sealed,
+  /// and write them all. Rethrows the first error (which names the
+  /// segment file) after attempting the rest. Called by the destructor,
+  /// but callers that need the files on disk at a known point (or want
+  /// write errors surfaced) should call it explicitly.
   void flush();
 
+  /// Segment files written so far (sealed segments still in flight are
+  /// not counted until they reach the disk).
   [[nodiscard]] std::size_t segments_written() const { return segments_written_; }
   [[nodiscard]] std::uint64_t conns_written() const { return conn_.records_total; }
   [[nodiscard]] std::uint64_t dns_written() const { return dns_.records_total; }
@@ -73,6 +97,7 @@ class SpoolWriter : public capture::RecordSink {
   struct OpenSegment {
     std::string payload;                    ///< v1: interleaved record bodies
     std::unique_ptr<SegmentBuilderV2> v2;   ///< v2: columnar builder (null for v1)
+    std::vector<std::unique_ptr<SegmentBuilderV2>> spare_v2;  ///< reset, ready for reuse
     std::uint32_t count = 0;
     SimTime first;
     SimTime last;
@@ -80,10 +105,15 @@ class SpoolWriter : public capture::RecordSink {
     std::uint64_t records_total = 0;
     bool any = false;  ///< a record has ever been written to this kind
   };
+  struct Sealing;  ///< one rotated segment: its builder, then its blob
+  class Sealer;    ///< the kSealWorkers threads
 
   template <typename Rec>
   void add(OpenSegment& seg, RecordKind kind, const Rec& rec, SimTime ts);
   void rotate(OpenSegment& seg, RecordKind kind);
+  /// Write sealed segments from the front of the queue, waiting for the
+  /// oldest while more than `max_queued` remain.
+  void retire(std::size_t max_queued);
 
   std::string dir_;
   SpoolConfig cfg_;
@@ -91,6 +121,8 @@ class SpoolWriter : public capture::RecordSink {
   OpenSegment dns_;
   OpenSegment enc_;  ///< no v2 builder ever: enc segments are v1-only
   std::size_t segments_written_ = 0;
+  std::deque<std::unique_ptr<Sealing>> queue_;  ///< rotated, not yet written; rotation order
+  std::unique_ptr<Sealer> sealer_;  ///< started at the first v2 rotation; joined first
 };
 
 /// Snapshot of a spool directory: segment file paths per kind, sorted in

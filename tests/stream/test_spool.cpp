@@ -1,13 +1,18 @@
 // dnsctx — spool writer/reader tests: rotation, merged replay order,
-// writer invariants, and byte-identical text↔binary conversion.
+// writer invariants, background sealing, atomic segment publish, and
+// byte-identical text↔binary conversion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "capture/logio.hpp"
+#include "obs/metrics.hpp"
+#include "stream/segment_v2.hpp"
 #include "stream/spool.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::stream {
 namespace {
@@ -41,6 +46,28 @@ capture::DnsRecord dns_at(std::int64_t us) {
   d.answered = true;
   d.answers = {{Ipv4Addr{1, 2, 3, 4}, 60}};
   return d;
+}
+
+capture::EncFlowRecord enc_at(std::int64_t us) {
+  capture::EncFlowRecord e;
+  e.start = SimTime::from_us(us);
+  e.duration = SimDuration::ms(40);
+  e.client_ip = Ipv4Addr{10, 0, 0, 1};
+  e.server_ip = Ipv4Addr{1, 1, 1, 1};
+  e.client_port = 51000;
+  e.server_port = 853;
+  e.up_msgs = 3;
+  e.down_msgs = 3;
+  e.up_bytes = 300;
+  e.down_bytes = 900;
+  return e;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is{path, std::ios::binary};
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
 }
 
 /// Records delivery order as (kind, key-µs) pairs.
@@ -89,6 +116,192 @@ TEST(SpoolWriter, RejectsTimestampRegression) {
   EXPECT_THROW(writer.on_conn(conn_at(4000)), std::runtime_error);
   // The other kind has its own clock: an earlier DNS record is fine.
   EXPECT_NO_THROW(writer.on_dns(dns_at(1000)));
+}
+
+TEST(SpoolWriter, RejectsRegressionWhileSegmentsSeal) {
+  const auto dir = temp_dir("dnsctx_spool_regress_sealing");
+  SpoolConfig cfg;
+  cfg.max_records_per_segment = 3;  // several rotations, so segments are in flight
+  SpoolWriter writer{dir, cfg};
+  for (int i = 0; i < 10; ++i) {
+    writer.on_conn(conn_at(1000 * (i + 1)));
+    writer.on_dns(dns_at(1000 * (i + 1)));
+  }
+  EXPECT_THROW(writer.on_conn(conn_at(9000)), std::runtime_error);
+  EXPECT_THROW(writer.on_dns(dns_at(500)), std::runtime_error);
+  writer.flush();
+  OrderSink sink;
+  const auto counts = replay_spool(dir, sink);
+  EXPECT_EQ(counts.conns, 10u);
+  EXPECT_EQ(counts.dns, 10u);
+}
+
+/// The bytes a one-segment-at-a-time writer produces for `recs`: cut
+/// into segments of `per_segment` records, restarting at index `cut`
+/// (where the writer was flushed).
+template <typename Rec, typename Build>
+std::vector<std::string> reference_segments(const std::vector<Rec>& recs,
+                                            std::size_t per_segment, std::size_t cut,
+                                            Build build) {
+  std::vector<std::string> out;
+  std::vector<Rec> open;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (!open.empty() && (open.size() == per_segment || i == cut)) {
+      out.push_back(build(open));
+      open.clear();
+    }
+    open.push_back(recs[i]);
+  }
+  if (!open.empty()) out.push_back(build(open));
+  return out;
+}
+
+TEST(SpoolWriter, SealedSegmentsMatchOneAtATimeReference) {
+  const auto dir = temp_dir("dnsctx_spool_sealed_ref");
+  SpoolConfig cfg;
+  cfg.max_records_per_segment = 16;
+
+  std::vector<capture::ConnRecord> conns;
+  std::vector<capture::DnsRecord> dns;
+  std::vector<capture::EncFlowRecord> encs;
+  std::size_t conn_cut = 0, dns_cut = 0, enc_cut = 0;
+  struct ObsOn {
+    bool was = obs::enabled();
+    ObsOn() { obs::set_enabled(true); }
+    ~ObsOn() { obs::set_enabled(was); }
+  } obs_on;
+  auto& reg = obs::registry();
+  const auto counter = [&reg](const char* name) { return reg.counter(name).value(); };
+  const std::uint64_t rotations0 = counter("spool_segment_rotations_total");
+  const std::uint64_t bytes0 = counter("spool_bytes_written_total");
+  const std::uint64_t records0 = counter("spool_records_written_total");
+  {
+    SpoolWriter writer{dir, cfg};
+    for (int i = 0; i < 700; ++i) {
+      if (i == 350) {
+        // Mid-stream flush: every open segment closes, later records
+        // start new ones.
+        writer.flush();
+        conn_cut = conns.size();
+        dns_cut = dns.size();
+        enc_cut = encs.size();
+      }
+      const std::int64_t us = 1'000'000 + 997 * i;
+      capture::DnsRecord d = dns_at(us);
+      d.client_port = static_cast<std::uint16_t>(50000 + i % 97);
+      d.query = "host" + std::to_string(i % 41) + ".example.com";
+      d.answers.assign(static_cast<std::size_t>(i % 4),
+                       {Ipv4Addr{1, 2, 3, static_cast<std::uint8_t>(i % 250)}, 60});
+      writer.on_dns(d);
+      dns.push_back(d);
+      if (i % 3 != 0) {
+        capture::ConnRecord c = conn_at(us);
+        c.orig_bytes = static_cast<std::uint64_t>(i) * 13;
+        writer.on_conn(c);
+        conns.push_back(c);
+      }
+      if (i % 5 == 0) {
+        const capture::EncFlowRecord e = enc_at(us);
+        writer.on_encflow(e);
+        encs.push_back(e);
+      }
+    }
+    writer.flush();
+
+    std::vector<std::string> expect_conn =
+        reference_segments(conns, 16, conn_cut, [](const auto& recs) {
+          return build_segment_v2(recs);
+        });
+    std::vector<std::string> expect_dns =
+        reference_segments(dns, 16, dns_cut, [](const auto& recs) {
+          return build_segment_v2(recs);
+        });
+    std::vector<std::string> expect_enc =
+        reference_segments(encs, 16, enc_cut, [](const auto& recs) {
+          std::string payload;
+          for (const auto& e : recs) append_record(payload, e);
+          return build_segment(RecordKind::kEncFlow, static_cast<std::uint32_t>(recs.size()),
+                               recs.front().start, recs.back().start, payload);
+        });
+
+    const auto listing = list_spool(dir);
+    ASSERT_EQ(listing.conn_segments.size(), expect_conn.size());
+    ASSERT_EQ(listing.dns_segments.size(), expect_dns.size());
+    ASSERT_EQ(listing.enc_segments.size(), expect_enc.size());
+    std::uint64_t bytes = 0;
+    for (std::size_t k = 0; k < expect_conn.size(); ++k) {
+      EXPECT_EQ(slurp(listing.conn_segments[k]), expect_conn[k]) << listing.conn_segments[k];
+      bytes += expect_conn[k].size();
+    }
+    for (std::size_t k = 0; k < expect_dns.size(); ++k) {
+      EXPECT_EQ(slurp(listing.dns_segments[k]), expect_dns[k]) << listing.dns_segments[k];
+      bytes += expect_dns[k].size();
+    }
+    for (std::size_t k = 0; k < expect_enc.size(); ++k) {
+      EXPECT_EQ(slurp(listing.enc_segments[k]), expect_enc[k]) << listing.enc_segments[k];
+      bytes += expect_enc[k].size();
+    }
+    EXPECT_EQ(writer.segments_written(), listing.total());
+    EXPECT_EQ(counter("spool_segment_rotations_total") - rotations0, listing.total());
+    EXPECT_EQ(counter("spool_bytes_written_total") - bytes0, bytes);
+    EXPECT_EQ(counter("spool_records_written_total") - records0,
+              conns.size() + dns.size() + encs.size());
+  }
+  // Every file was renamed into place: no temporaries are left behind.
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    EXPECT_TRUE(entry.path().extension() == ".seg") << entry.path();
+  }
+}
+
+TEST(SpoolWriter, WritesSegmentsInSequenceOrder) {
+  // A large segment seals slowly; the one-record segments rotated after
+  // it seal at once, but none may reach the disk before it does.
+  const auto dir = temp_dir("dnsctx_spool_seq_order");
+  SpoolConfig cfg;
+  cfg.max_segment_span = SimDuration::sec(1);
+  SpoolWriter writer{dir, cfg};
+  for (int i = 0; i < 50'000; ++i) {
+    capture::ConnRecord c = conn_at(i);
+    c.resp_ip = Ipv4Addr::from_u32(0x0a000000u + static_cast<std::uint32_t>(i * 7919 % 65'521));
+    c.orig_bytes = static_cast<std::uint64_t>(i % 1'000);
+    writer.on_conn(c);
+  }
+  for (int k = 1; k <= 30; ++k) {
+    writer.on_conn(conn_at(2'000'000LL * k));
+    const auto listing = list_spool(dir);
+    for (std::size_t n = 0; n < listing.conn_segments.size(); ++n) {
+      ASSERT_TRUE(listing.conn_segments[n].ends_with(strfmt("conn-%08zu.seg", n)))
+          << listing.conn_segments[n];
+    }
+  }
+  writer.flush();
+  EXPECT_EQ(list_spool(dir).conn_segments.size(), 31u);
+}
+
+TEST(SpoolWriter, FlushNamesSegmentWhenDirectoryVanishes) {
+  const auto dir = temp_dir("dnsctx_spool_vanish");
+  SpoolConfig cfg;
+  cfg.max_records_per_segment = 4;
+  {
+    SpoolWriter writer{dir, cfg};
+    for (int i = 0; i < 6; ++i) {
+      writer.on_conn(conn_at(1000 * (i + 1)));
+      writer.on_dns(dns_at(1000 * (i + 1)));
+    }
+    std::filesystem::remove_all(dir);
+    try {
+      writer.flush();
+      FAIL() << "expected flush() to throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(dir), std::string::npos) << what;
+      EXPECT_NE(what.find(".seg"), std::string::npos) << what;
+    }
+    // More records after the failure still go somewhere sane...
+    writer.on_conn(conn_at(10'000));
+    // ...and the destructor's own flush fails quietly and returns.
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(SpoolReplay, MergesKindsInTimeOrderDnsFirstOnTies) {
@@ -148,12 +361,6 @@ TEST(SpoolConvert, TextRoundTripIsByteIdentical) {
   EXPECT_EQ(out_counts.conns, 3u);
   EXPECT_EQ(out_counts.dns, 2u);
 
-  auto slurp = [](const std::string& path) {
-    std::ifstream is{path, std::ios::binary};
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
   EXPECT_EQ(slurp(text_dir + "/conn.log"), slurp(back_dir + "/conn.log"));
   EXPECT_EQ(slurp(text_dir + "/dns.log"), slurp(back_dir + "/dns.log"));
 }
@@ -243,12 +450,6 @@ TEST(SpoolConvert, V2SpoolExportsByteIdenticalText) {
   (void)spool_to_text(v1_dir, out1);
   (void)spool_to_text(v2_dir, out2);
 
-  auto slurp = [](const std::string& path) {
-    std::ifstream is{path, std::ios::binary};
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
   EXPECT_EQ(slurp(out1 + "/conn.log"), slurp(out2 + "/conn.log"));
   EXPECT_EQ(slurp(out1 + "/dns.log"), slurp(out2 + "/dns.log"));
   EXPECT_EQ(slurp(text_dir + "/conn.log"), slurp(out2 + "/conn.log"));
@@ -268,6 +469,40 @@ TEST(SpoolListing, SortedAndFiltered) {
   ASSERT_EQ(listing.conn_segments.size(), 3u);
   EXPECT_TRUE(std::is_sorted(listing.conn_segments.begin(), listing.conn_segments.end()));
   EXPECT_EQ(listing.total(), 3u);
+}
+
+TEST(SpoolListing, IgnoresLeftoverTemporarySegment) {
+  const auto dir = temp_dir("dnsctx_spool_tmp");
+  {
+    SpoolWriter writer{dir};
+    writer.on_conn(conn_at(1000));
+    writer.on_dns(dns_at(2000));
+  }
+  // A writer killed mid-write leaves a partial `.seg.tmp` behind; it is
+  // not a segment, so listing and replay skip it.
+  std::ofstream{dir + "/conn-00000001.seg.tmp", std::ios::binary} << "partial";
+  std::ofstream{dir + "/dns-00000001.seg.tmp", std::ios::binary};
+  const auto listing = list_spool(dir);
+  EXPECT_EQ(listing.conn_segments.size(), 1u);
+  EXPECT_EQ(listing.dns_segments.size(), 1u);
+  OrderSink sink;
+  const auto counts = replay_spool(dir, sink);
+  EXPECT_EQ(counts.conns, 1u);
+  EXPECT_EQ(counts.dns, 1u);
+}
+
+TEST(SpoolListing, WriteSegmentFileLeavesOnlyTheSegment) {
+  const auto dir = temp_dir("dnsctx_spool_publish");
+  const std::string path = dir + "/conn-00000000.seg";
+  const std::string blob = build_segment_v2(std::vector<capture::ConnRecord>{conn_at(1000)});
+  write_segment_file(path, blob);
+  EXPECT_EQ(slurp(path), blob);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // Overwriting an existing segment replaces it whole.
+  const std::string blob2 =
+      build_segment_v2(std::vector<capture::ConnRecord>{conn_at(1000), conn_at(2000)});
+  write_segment_file(path, blob2);
+  EXPECT_EQ(slurp(path), blob2);
 }
 
 }  // namespace
