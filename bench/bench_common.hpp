@@ -83,19 +83,22 @@ struct BenchScale {
   std::string metrics_out;  ///< when non-empty, also write a scrape file on exit
 };
 
+/// Numbers are strict (bench::number): a malformed or out-of-range
+/// houses, hours, seed, --shards or --threads value exits 2.
 [[nodiscard]] inline BenchScale parse_scale(int argc, char** argv) {
   BenchScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   bool threads_given = false, shards_given = false;
   int pos = 0;
+  const char* bench = argv[0];
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      s.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      s.threads = static_cast<unsigned>(number(bench, "--threads", argv[++i], 0, 1024));
       threads_given = true;
       continue;
     }
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      s.shards = static_cast<std::size_t>(std::atoi(argv[++i]));
+      s.shards = number(bench, "--shards", argv[++i], 1, 1024);
       shards_given = true;
       continue;
     }
@@ -126,9 +129,9 @@ struct BenchScale {
       continue;
     }
     switch (++pos) {
-      case 1: s.houses = static_cast<std::size_t>(std::atoi(argv[i])); break;
-      case 2: s.hours = std::atoi(argv[i]); break;
-      case 3: s.seed = static_cast<std::uint64_t>(std::atoll(argv[i])); break;
+      case 1: s.houses = number(bench, "houses", argv[i], 1, 1'000'000); break;
+      case 2: s.hours = static_cast<int>(number(bench, "hours", argv[i], 1, 24 * 365)); break;
+      case 3: s.seed = number(bench, "seed", argv[i], 0, UINT64_MAX); break;
       case 4: s.csv_dir = argv[i]; break;
       default: break;
     }

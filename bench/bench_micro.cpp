@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // building blocks: DNS wire codec, cache operations, event dispatch,
-// monitor packet handling and DN-Hunter pairing throughput.
+// monitor packet handling, DN-Hunter pairing throughput, the spool's lz
+// compressor and the NAT gateway's mapping table.
 #include <benchmark/benchmark.h>
 
 #include "analysis/classify.hpp"
@@ -11,7 +12,12 @@
 #include "dns/codec.hpp"
 #include "netsim/arena.hpp"
 #include "netsim/event_queue.hpp"
+#include "netsim/nat.hpp"
 #include "netsim/sim.hpp"
+#include "scenario/scenario.hpp"
+#include "stream/codec.hpp"
+#include "stream/segment.hpp"
+#include "stream/segment_v2.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -253,6 +259,69 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+void BM_LzCompressSegment(benchmark::State& state) {
+  // The uncompressed v2 dns body of a small Town run (~350 KB): what a
+  // spool sealing thread hands the lz codec for every dns segment.
+  static const std::string body = [] {
+    scenario::ScenarioConfig cfg;
+    cfg.houses = 12;
+    cfg.duration = SimDuration::hours(4);
+    cfg.seed = 3;
+    scenario::Town town{cfg};
+    town.run();
+    const std::string seg =
+        stream::build_segment_v2(town.dataset().dns, stream::SegmentCodec::kNone);
+    return seg.substr(stream::kSegmentHeaderBytes + 1 + 8);  // codec id, raw length
+  }();
+  const stream::BlockCodec& lz = stream::codec(stream::SegmentCodec::kLz);
+  std::string out;
+  for (auto _ : state) {
+    lz.compress(body, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+  state.counters["ratio"] = static_cast<double>(out.size()) / static_cast<double>(body.size());
+}
+BENCHMARK(BM_LzCompressSegment)->Unit(benchmark::kMillisecond);
+
+void BM_NatManyFlowsOneDevice(benchmark::State& state) {
+  // One device opens `flows` TCP and as many UDP flows through its
+  // gateway, sends three more packets on each, and the run drains until
+  // the idle sweep has released every mapping: map_outbound's allocate
+  // and lookup paths and release_mapping, all on one device's keys.
+  struct Sink : netsim::Host {
+    void receive(const netsim::Packet&) override {}
+  };
+  const auto flows = static_cast<int>(state.range(0));
+  constexpr Ipv4Addr kDevice{192, 168, 1, 10};
+  netsim::Simulator sim;
+  netsim::Network net{sim, netsim::LatencyModel{}, 1};
+  Sink wan_side, device;
+  net.set_default_host(&wan_side);
+  netsim::HouseGateway gateway{sim, net, Ipv4Addr{100, 66, 2, 1}, 7, SimDuration::zero()};
+  gateway.attach_device(kDevice, &device);
+  for (auto _ : state) {
+    for (int pass = 0; pass < 4; ++pass) {
+      for (int k = 0; k < flows; ++k) {
+        for (const Proto proto : {Proto::kTcp, Proto::kUdp}) {
+          netsim::Packet p;
+          p.src_ip = kDevice;
+          p.src_port = static_cast<std::uint16_t>(49'152 + k);
+          p.dst_ip = Ipv4Addr{34, 9, 9, 9};
+          p.dst_port = 443;
+          p.proto = proto;
+          gateway.from_device(std::move(p));
+        }
+      }
+    }
+    sim.run_to_completion();
+    benchmark::DoNotOptimize(gateway.active_mappings());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 * 2 * flows);
+}
+BENCHMARK(BM_NatManyFlowsOneDevice)->Arg(256)->Arg(4'000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -22,7 +22,7 @@ void HouseGateway::release_mapping(std::uint32_t idx, const ExternalKey& ext) {
   free_slots_.push_back(idx);
 }
 
-std::uint16_t HouseGateway::map_outbound(const InternalKey& key) {
+std::uint16_t HouseGateway::map_outbound(const NatInternalKey& key) {
   if (const auto it = by_internal_.find(key); it != by_internal_.end()) {
     Mapping& m = slab_[it->second];
     m.last_used = sim_.now();
@@ -83,7 +83,7 @@ void HouseGateway::from_device(Packet p) {
   if (dns_intercept_ && p.proto == Proto::kUdp && p.dst_port == 53) {
     if (dns_intercept_(p)) return;
   }
-  const InternalKey key{p.src_ip, p.src_port, p.proto};
+  const NatInternalKey key{p.src_ip, p.src_port, p.proto};
   const std::uint16_t ext_port = map_outbound(key);
   // Translate now (the values are already fixed), adopt into the WAN's
   // packet arena, and let the LAN-hop closure carry only the handle.
@@ -109,7 +109,7 @@ void HouseGateway::receive(const Packet& p) {
   if (it == by_external_.end()) return;  // unsolicited inbound: dropped, like real NAT
   Mapping& m = slab_[it->second];
   m.last_used = sim_.now();
-  const InternalKey target = m.internal;
+  const NatInternalKey target = m.internal;
   const auto dev = devices_.find(target.ip);
   if (dev == devices_.end()) return;
   Packet translated = p;

@@ -20,6 +20,29 @@
 
 namespace dnsctx::netsim {
 
+/// A gateway's in-home side of a mapping: device address, port, protocol.
+struct NatInternalKey {
+  Ipv4Addr ip;
+  std::uint16_t port;
+  Proto proto;
+  bool operator==(const NatInternalKey&) const = default;
+};
+
+/// Hash for the gateway's internal-key table. A FlatMap picks the home
+/// slot from the low bits of the hash, and one device holds many
+/// mappings that differ only in port, so the port must reach those bits.
+/// A hash whose low bits ignore the port puts all of a device's mappings
+/// on one or two home slots, and map_outbound and release_mapping then
+/// walk long probe runs. Port and protocol are therefore mixed through
+/// hash_combine. Nothing iterates this table, so the hash never changes
+/// port allocation or output.
+struct NatInternalKeyHash {
+  [[nodiscard]] std::size_t operator()(const NatInternalKey& k) const noexcept {
+    return hash_combine(Ipv4Hash{}(k.ip), (static_cast<std::uint64_t>(k.port) << 8) |
+                                              static_cast<std::uint64_t>(k.proto));
+  }
+};
+
 /// NAT + in-home LAN for one house.
 class HouseGateway : public Host {
  public:
@@ -51,18 +74,6 @@ class HouseGateway : public Host {
   [[nodiscard]] std::size_t active_mappings() const { return by_external_.size(); }
 
  private:
-  struct InternalKey {
-    Ipv4Addr ip;
-    std::uint16_t port;
-    Proto proto;
-    bool operator==(const InternalKey&) const = default;
-  };
-  struct InternalKeyHash {
-    [[nodiscard]] std::size_t operator()(const InternalKey& k) const noexcept {
-      return Ipv4Hash{}(k.ip) ^ (static_cast<std::size_t>(k.port) << 8) ^
-             static_cast<std::size_t>(k.proto);
-    }
-  };
   struct ExternalKey {
     std::uint16_t port;
     Proto proto;
@@ -74,12 +85,12 @@ class HouseGateway : public Host {
     }
   };
   struct Mapping {
-    InternalKey internal;
+    NatInternalKey internal;
     std::uint16_t external_port;
     SimTime last_used;
   };
 
-  [[nodiscard]] std::uint16_t map_outbound(const InternalKey& key);
+  [[nodiscard]] std::uint16_t map_outbound(const NatInternalKey& key);
   void sweep_stale();
   void release_mapping(std::uint32_t idx, const ExternalKey& ext);
 
@@ -96,7 +107,7 @@ class HouseGateway : public Host {
   // slot) and refreshes last_used in place.
   std::vector<Mapping> slab_;
   std::vector<std::uint32_t> free_slots_;
-  util::FlatMap<InternalKey, std::uint32_t, InternalKeyHash> by_internal_;
+  util::FlatMap<NatInternalKey, std::uint32_t, NatInternalKeyHash> by_internal_;
   util::FlatMap<ExternalKey, std::uint32_t, ExternalKeyHash> by_external_;
   std::uint16_t next_port_ = 1024;
   bool sweep_armed_ = false;

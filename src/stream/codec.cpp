@@ -1,8 +1,13 @@
 #include "stream/codec.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/strings.hpp"
 
@@ -46,6 +51,11 @@ constexpr std::size_t kMaxOffset = 65'535;
 // emitted as a single literal run.
 constexpr std::size_t kEndLiterals = 5;
 constexpr std::size_t kMinCompressInput = 13;
+// Table slots hold pos + 1 in 32 bits, and window_mask moves positions
+// into signed 32-bit SSE2 lanes, so every position of a block must stay
+// below 2^31. Segment bodies are orders of magnitude smaller; compress()
+// rejects a larger block instead of truncating positions.
+constexpr std::size_t kMaxCompressInput = (std::size_t{1} << 31) - 1;
 
 [[nodiscard]] std::uint32_t load32(const char* p) {
   std::uint32_t v;
@@ -56,6 +66,34 @@ constexpr std::size_t kMinCompressInput = 13;
 [[nodiscard]] std::uint32_t hash32(std::uint32_t v, std::size_t bits) {
   return (v * 2654435761u) >> (32 - bits);
 }
+
+#if defined(__SSE2__)
+static_assert(kHashWays == 32, "window_mask builds one bit per way in a uint32");
+
+// Bit w is set iff way w of `bucket` holds a candidate c (stored as
+// c + 1, 0 = empty) inside the match window, 1 <= pos - c <= kMaxOffset.
+// Live stored values are exactly [lo, pos], so one unsigned range check
+// per lane, (stored - lo) < span, covers "non-empty" and both window
+// edges; SSE2 has no unsigned compare, so both sides are bias-flipped
+// into a signed _mm_cmpgt_epi32.
+[[nodiscard]] std::uint32_t window_mask(const std::uint32_t* bucket, std::size_t pos) {
+  const auto p1 = static_cast<std::uint32_t>(pos + 1);
+  const std::uint32_t lo = p1 > kMaxOffset ? p1 - static_cast<std::uint32_t>(kMaxOffset) : 1;
+  const std::uint32_t span = p1 - lo;
+  const __m128i bias = _mm_set1_epi32(INT32_MIN);
+  const __m128i vlo = _mm_set1_epi32(static_cast<int>(lo));
+  const __m128i vspan = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(span)), bias);
+  std::uint32_t mask = 0;
+  for (std::size_t q = 0; q < kHashWays / 4; ++q) {
+    const __m128i stored =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bucket + 4 * q));
+    const __m128i rel = _mm_xor_si128(_mm_sub_epi32(stored, vlo), bias);
+    const int live = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(vspan, rel)));
+    mask |= static_cast<std::uint32_t>(live) << (4 * q);
+  }
+  return mask;
+}
+#endif
 
 class NoneCodec final : public BlockCodec {
  public:
@@ -80,6 +118,11 @@ class LzCodec final : public BlockCodec {
   [[nodiscard]] std::string_view name() const override { return "lz"; }
 
   void compress(std::string_view raw, std::string& out) const override {
+    if (raw.size() > kMaxCompressInput) {
+      throw std::length_error{
+          strfmt("lz: %zu-byte block exceeds the %zu-byte limit", raw.size(),
+                 kMaxCompressInput)};
+    }
     out.clear();
     const char* src = raw.data();
     const std::size_t n = raw.size();
@@ -128,28 +171,44 @@ class LzCodec final : public BlockCodec {
         next_way[h] = static_cast<std::uint8_t>((next_way[h] + 1) % kHashWays);
       };
       // Longest match at `pos` over the bucket's candidates; {0, 0} if none.
+      // Exactness contract: candidates are tried in ascending way order
+      // and only a strictly longer match replaces the best, so ties go
+      // to the lowest way. Both finders below visit the same in-window
+      // ways in the same order and so return the same match.
       auto best_match = [&](std::size_t pos) -> std::pair<std::size_t, std::size_t> {
         const std::size_t max_len = n - kEndLiterals - pos;
         if (max_len < kMinMatch) return {0, 0};
         const std::uint32_t h = hash32(load32(src + pos), hash_bits);
+        const std::uint32_t* bucket = table.data() + h * kHashWays;
         std::size_t best_len = 0;
         std::size_t best_off = 0;
-        for (std::size_t w = 0; w < kHashWays; ++w) {
-          const std::size_t cand = table[h * kHashWays + w];
-          if (cand == 0) continue;
-          const std::size_t c = cand - 1;
-          if (c >= pos || pos - c > kMaxOffset) continue;
+        auto consider = [&](std::size_t c) {
           // A candidate that differs at best_len can't beat best_len;
           // skipping it avoids the full compare on most probes.
-          if (best_len != 0 && src[c + best_len] != src[pos + best_len]) continue;
-          if (load32(src + c) != load32(src + pos)) continue;
+          if (best_len != 0 && src[c + best_len] != src[pos + best_len]) return;
+          if (load32(src + c) != load32(src + pos)) return;
           std::size_t len = kMinMatch;
           while (len < max_len && src[c + len] == src[pos + len]) ++len;
           if (len > best_len) {
             best_len = len;
             best_off = pos - c;
           }
+        };
+#if defined(__SSE2__)
+        // Most slots are empty or out of the window; mask them off in
+        // one pass and walk only the live ways, lowest first.
+        for (std::uint32_t live = window_mask(bucket, pos); live != 0; live &= live - 1) {
+          consider(bucket[std::countr_zero(live)] - std::size_t{1});
         }
+#else
+        for (std::size_t w = 0; w < kHashWays; ++w) {
+          const std::size_t cand = bucket[w];
+          if (cand == 0) continue;
+          const std::size_t c = cand - 1;
+          if (c >= pos || pos - c > kMaxOffset) continue;
+          consider(c);
+        }
+#endif
         return {best_len, best_off};
       };
 

@@ -15,6 +15,16 @@
 // segment data is dominated by small repeating integers. Its
 // decompressor is strictly bounds-checked — it is a fuzz target, and
 // serve feeds it bytes straight off the network.
+//
+// The lz match finder keeps 32 candidate positions per hash bucket. On
+// x86 it first builds a bit mask of the ways that are non-empty and
+// inside the 64 KiB window with SSE2 and compares only those; elsewhere
+// it tests every way in a plain loop. Both visit the live ways in the
+// same order with the same tie rule, so the compressed bytes do not
+// depend on which finder ran: spools stay byte-identical across
+// platforms. tests/stream/lz_reference.hpp keeps the plain loop as a
+// reference; the LzCodec tests and the fuzz_lz target fail on any byte
+// of difference.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +65,8 @@ class BlockCodec {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Compress `raw` into `out` (replacing its contents). Deterministic:
-  /// identical input yields identical output.
+  /// identical input yields identical output. The lz codec throws
+  /// std::length_error for a block of 2^31 bytes or more.
   virtual void compress(std::string_view raw, std::string& out) const = 0;
 
   /// Decompress `comp` into `out` (replacing its contents). `raw_len` is

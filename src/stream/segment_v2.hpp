@@ -43,12 +43,12 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "capture/records.hpp"
 #include "stream/codec.hpp"
 #include "stream/segment.hpp"
+#include "util/flat_map.hpp"
 #include "util/names.hpp"
 
 namespace dnsctx::stream {
@@ -113,10 +113,10 @@ class SegmentBuilderV2 {
   std::vector<std::string> cols_;
   std::vector<std::string_view> dict_names_;  ///< views into the NameTable arena
   std::vector<std::uint32_t> name_refs_;      ///< reference count per name
-  std::unordered_map<util::NameId, std::uint32_t> dict_idx_;
+  util::FlatMap<util::NameId, std::uint32_t> dict_idx_;
   std::vector<std::uint32_t> addrs_;      ///< distinct IPs, first-appearance order
   std::vector<std::uint32_t> addr_refs_;  ///< reference count per address
-  std::unordered_map<std::uint32_t, std::uint32_t> addr_idx_;
+  util::FlatMap<std::uint32_t, std::uint32_t> addr_idx_;
 };
 
 /// One-shot conveniences for tests and benches.

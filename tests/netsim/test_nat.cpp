@@ -190,5 +190,20 @@ TEST_F(NatTest, RandomTrafficStormUpholdsInvariants) {
   for (const auto& p : dev_b.received) EXPECT_EQ(p.dst_ip, kDeviceB);
 }
 
+TEST(NatInternalKeyHash, OneDevicesPortsSpreadOverTheTable) {
+  // One device's mappings differ only in port and protocol. A hash whose
+  // low bits never see the port piles them onto a few home slots, and
+  // every map_outbound then walks that run.
+  util::FlatMap<NatInternalKey, std::uint32_t, NatInternalKeyHash> table;
+  std::uint32_t next = 0;
+  for (std::uint16_t port = 49'152; port < 49'152 + 4'000; ++port) {
+    for (const Proto proto : {Proto::kTcp, Proto::kUdp}) {
+      table[NatInternalKey{kDeviceA, port, proto}] = next++;
+    }
+  }
+  ASSERT_EQ(table.size(), 8'000u);
+  EXPECT_LE(table.max_probe_length(), 32u);
+}
+
 }  // namespace
 }  // namespace dnsctx::netsim
