@@ -83,57 +83,58 @@ struct BenchScale {
   std::string metrics_out;  ///< when non-empty, also write a scrape file on exit
 };
 
-/// Numbers are strict (bench::number): a malformed or out-of-range
-/// houses, hours, seed, --shards or --threads value exits 2.
+/// Strict: a malformed or out-of-range houses, hours, seed, --shards or
+/// --threads value (bench::number), a fifth positional, or a value flag
+/// with no value after it exits 2 naming the argument.
 [[nodiscard]] inline BenchScale parse_scale(int argc, char** argv) {
   BenchScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
   bool threads_given = false, shards_given = false;
   int pos = 0;
   const char* bench = argv[0];
+  // The value after value flag argv[i]; a flag given last exits 2.
+  const auto value = [&](int& i) {
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "%s: %s expects a value\n", bench, argv[i]);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      s.threads = static_cast<unsigned>(number(bench, "--threads", argv[++i], 0, 1024));
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--threads") == 0) {
+      s.threads = static_cast<unsigned>(number(bench, "--threads", value(i), 0, 1024));
       threads_given = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      s.shards = number(bench, "--shards", argv[++i], 1, 1024);
+    } else if (std::strcmp(arg, "--shards") == 0) {
+      s.shards = number(bench, "--shards", value(i), 1, 1024);
       shards_given = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      s.json_path = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      s.faults = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
-      s.transport = argv[++i];
+    } else if (std::strcmp(arg, "--json") == 0) {
+      s.json_path = value(i);
+    } else if (std::strcmp(arg, "--faults") == 0) {
+      s.faults = value(i);
+    } else if (std::strcmp(arg, "--transport") == 0) {
+      s.transport = value(i);
       s.transport_given = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--pack") == 0 && i + 1 < argc) {
-      s.pack_file = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) {
+    } else if (std::strcmp(arg, "--pack") == 0) {
+      s.pack_file = value(i);
+    } else if (std::strcmp(arg, "--metrics") == 0) {
       s.metrics = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(arg, "--metrics-out") == 0) {
       s.metrics = true;
-      s.metrics_out = argv[++i];
-      continue;
-    }
-    switch (++pos) {
-      case 1: s.houses = number(bench, "houses", argv[i], 1, 1'000'000); break;
-      case 2: s.hours = static_cast<int>(number(bench, "hours", argv[i], 1, 24 * 365)); break;
-      case 3: s.seed = number(bench, "seed", argv[i], 0, UINT64_MAX); break;
-      case 4: s.csv_dir = argv[i]; break;
-      default: break;
+      s.metrics_out = value(i);
+    } else {
+      switch (++pos) {
+        case 1: s.houses = number(bench, "houses", arg, 1, 1'000'000); break;
+        case 2: s.hours = static_cast<int>(number(bench, "hours", arg, 1, 24 * 365)); break;
+        case 3: s.seed = number(bench, "seed", arg, 0, UINT64_MAX); break;
+        case 4: s.csv_dir = arg; break;
+        default:
+          std::fprintf(stderr,
+                       "%s: unexpected argument '%s' (positionals are houses hours seed "
+                       "csv_dir)\n",
+                       bench, arg);
+          std::exit(2);
+      }
     }
   }
   // --threads without --shards: shard for simulation parallelism, by a

@@ -139,7 +139,8 @@ void BM_PacketArena(benchmark::State& state) {
 BENCHMARK(BM_PacketArena);
 
 void BM_MonitorTcpConn(benchmark::State& state) {
-  capture::Monitor monitor;
+  capture::DatasetSink sink;
+  capture::Monitor monitor{capture::MonitorConfig{}, sink};
   const Ipv4Addr house{100, 66, 1, 1};
   const Ipv4Addr server{34, 1, 1, 1};
   std::int64_t t = 0;

@@ -71,13 +71,6 @@ StreamScale parse_args(int argc, char** argv) {
   return s;
 }
 
-/// Collects replayed records back into a Dataset for the batch phase.
-struct DatasetCollector final : capture::RecordSink {
-  capture::Dataset ds;
-  void on_conn(const capture::ConnRecord& rec) override { ds.conns.push_back(rec); }
-  void on_dns(const capture::DnsRecord& rec) override { ds.dns.push_back(rec); }
-};
-
 /// One study phase's numbers, as passed parent ← child over stdout.
 struct PhaseResult {
   double sec = 0.0;
@@ -119,7 +112,7 @@ int run_phase(const StreamScale& scale) {
     out.active_candidates = engine.active_candidates();
     out.active_records = engine.active_records();
   } else if (scale.phase == "batch") {
-    DatasetCollector collector;
+    capture::DatasetSink collector;
     const auto counts = stream::replay_spool(scale.spool_dir, collector);
     const auto study = analysis::run_study(collector.ds);
     out.n = study.classified.counts.n;

@@ -7,18 +7,7 @@
 
 namespace dnsctx::capture {
 
-std::string_view to_string(ConnState s) {
-  switch (s) {
-    case ConnState::kS0: return "S0";
-    case ConnState::kSf: return "SF";
-    case ConnState::kRej: return "REJ";
-    case ConnState::kRst: return "RST";
-    case ConnState::kOth: return "OTH";
-  }
-  return "?";
-}
-
-Monitor::Monitor(MonitorConfig cfg) : cfg_{cfg} {}
+Monitor::Monitor(MonitorConfig cfg, RecordSink& sink) : cfg_{cfg}, sink_{sink} {}
 
 bool Monitor::local_orig(Ipv4Addr ip) const {
   if (!cfg_.keep_only_local_orig) return true;
@@ -28,19 +17,8 @@ bool Monitor::local_orig(Ipv4Addr ip) const {
 }
 
 void Monitor::emit_conn(const ConnRecord& rec) {
-  if (sink_ != nullptr) {
-    if (local_orig(rec.orig_ip)) sink_->on_conn(rec);
-    return;
-  }
-  out_.conns.push_back(rec);
-}
-
-void Monitor::emit_dns(DnsRecord&& rec) {
-  if (sink_ != nullptr) {
-    sink_->on_dns(rec);
-    return;
-  }
-  out_.dns.push_back(std::move(rec));
+  // The paper's corpus keeps only locally-originated connections (§3).
+  if (local_orig(rec.orig_ip)) sink_.on_conn(rec);
 }
 
 bool Monitor::enc_candidate(const ConnRecord& rec) {
@@ -96,11 +74,7 @@ void Monitor::emit_encflow(const Flow& flow) {
   rec.first_down_bytes = flow.enc.first_down;
   rec.pad_aligned_up = flow.enc.pad_up;
   rec.pad_aligned_down = flow.enc.pad_down;
-  if (sink_ != nullptr) {
-    sink_->on_encflow(rec);
-    return;
-  }
-  out_.encflows.push_back(rec);
+  sink_.on_encflow(rec);
 }
 
 SimTime Monitor::open_watermark(SimTime now) const {
@@ -173,7 +147,7 @@ void Monitor::handle_dns(SimTime at_tap, const netsim::Packet& p) {
         rec.answers.push_back(DnsAnswer{std::get<Ipv4Addr>(rr.rdata), rr.ttl});
       }
     }
-    emit_dns(std::move(rec));
+    sink_.on_dns(rec);
   }
 }
 
@@ -279,7 +253,7 @@ void Monitor::expire_state(SimTime now) {
         pending_dns_.erase(e.dns_key);
         rec.answered = false;
         rec.duration = SimDuration::zero();
-        emit_dns(std::move(rec));
+        sink_.on_dns(rec);
       }
     } else {
       const auto it = flows_.find(e.tuple);
@@ -299,31 +273,7 @@ void Monitor::expire_state(SimTime now) {
   }
 }
 
-namespace {
-
-/// Stable timestamp sort via key extraction: pull the (SoA-style) key
-/// column out of the records, argsort indices, then gather. Equivalent
-/// to std::stable_sort on `key(rec)` but each record is moved exactly
-/// once regardless of how deep the sort recursion goes.
-template <typename Rec, typename KeyFn>
-void sort_by_time(std::vector<Rec>& recs, KeyFn key) {
-  const std::size_t n = recs.size();
-  if (n < 2) return;
-  std::vector<std::int64_t> ts(n);
-  for (std::size_t i = 0; i < n; ++i) ts[i] = key(recs[i]).count_us();
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::stable_sort(order.begin(), order.end(),
-                   [&ts](std::uint32_t a, std::uint32_t b) { return ts[a] < ts[b]; });
-  std::vector<Rec> sorted;
-  sorted.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) sorted.push_back(std::move(recs[order[i]]));
-  recs = std::move(sorted);
-}
-
-}  // namespace
-
-Dataset Monitor::harvest(SimTime end) {
+void Monitor::flush(SimTime end) {
   expire_state(end);
   for (auto& [tuple, flow] : flows_) {
     ++stats_.conns_flushed_at_harvest;
@@ -332,31 +282,11 @@ Dataset Monitor::harvest(SimTime end) {
   flows_.clear();
   for (auto& [key, pd] : pending_dns_) {
     ++stats_.dns_unanswered;
-    DnsRecord rec = std::move(pd.rec);
-    rec.answered = false;
-    emit_dns(std::move(rec));
+    pd.rec.answered = false;
+    sink_.on_dns(pd.rec);
   }
   pending_dns_.clear();
   while (!expiries_.empty()) expiries_.pop();
-
-  // Keep only locally-originated connections, matching the paper's
-  // corpus definition (§3). (When a sink is attached, emit_conn applied
-  // the same filter record by record and out_ is empty.)
-  std::erase_if(out_.conns, [&](const ConnRecord& c) { return !local_orig(c.orig_ip); });
-
-  // Timestamp-sort the logs: finalisation order (timeouts, harvest) is
-  // not emission order, and the analysis pipeline assumes sorted logs.
-  // The sort runs over an extracted timestamp column + index permutation
-  // (records move once, in one gather pass, instead of O(n log n) times)
-  // and is stable so that equal-timestamp records keep finalization
-  // order — the order a LiveFeed delivers them in — keeping batch and
-  // streaming runs record-for-record identical.
-  sort_by_time(out_.conns, [](const ConnRecord& c) { return c.start; });
-  sort_by_time(out_.dns, [](const DnsRecord& d) { return d.ts; });
-  sort_by_time(out_.encflows, [](const EncFlowRecord& e) { return e.start; });
-  Dataset result = std::move(out_);
-  out_ = Dataset{};
-  return result;
 }
 
 }  // namespace dnsctx::capture

@@ -10,6 +10,9 @@
 //   * port-53 flows are summarised in the DNS log only, not conn.log
 //     (the paper's 11.2M-connection corpus is application traffic).
 //
+// Every finalized record goes to the RecordSink the monitor is built
+// with; a capture::DatasetSink plus sort_by_time() gives the batch logs.
+//
 // The monitor consumes ONLY observable packet fields (see packet.hpp's
 // vantage-point rule) and never touches simulation ground truth.
 #pragma once
@@ -29,8 +32,9 @@ struct MonitorConfig {
   SimDuration tcp_idle_timeout = SimDuration::min(15);     ///< stuck-TCP flush
   SimDuration dns_query_timeout = SimDuration::sec(10);    ///< unanswered query flush
   /// The monitored access network (Bro's local_nets). The paper's corpus
-  /// is "connections originated by hosts within the CCZ"; harvest()
-  /// keeps only conns whose originator falls in this prefix.
+  /// is "connections originated by hosts within the CCZ"; the monitor
+  /// emits only conns (and encflows) whose originator falls in this
+  /// prefix.
   Ipv4Addr local_net{100, 66, 0, 0};
   std::uint32_t local_prefix_bits = 16;
   bool keep_only_local_orig = true;
@@ -57,23 +61,17 @@ struct MonitorStats {
 
 class Monitor : public netsim::PacketTap {
  public:
-  explicit Monitor(MonitorConfig cfg = {});
+  /// Finalized records go to `sink`, which must outlive the monitor.
+  /// They arrive in FINALIZATION order, not timestamp order: recover the
+  /// canonical order with sort_by_time() on a collected Dataset, or with
+  /// a stream::LiveFeed driven by open_watermark().
+  Monitor(MonitorConfig cfg, RecordSink& sink);
 
   void observe(SimTime at_tap, const netsim::Packet& p) override;
 
-  /// Flush every open flow/query as of `end` and return the datasets.
+  /// Finalize every open flow and pending query as of `end` to the sink.
   /// The monitor is reusable afterwards (state cleared; stats persist).
-  [[nodiscard]] Dataset harvest(SimTime end);
-
-  /// Stream finalized records to `sink` instead of materializing them:
-  /// while a sink is attached the monitor's datasets stay empty and
-  /// harvest() returns an empty Dataset (it still flushes open state —
-  /// to the sink). Records arrive in FINALIZATION order, not timestamp
-  /// order; pair with stream::LiveFeed and open_watermark() to recover
-  /// the canonical order. The conn-side local-originator filter applies
-  /// at emission, exactly as harvest() applies it. Pass nullptr to
-  /// detach.
-  void set_record_sink(RecordSink* sink) { sink_ = sink; }
+  void flush(SimTime end);
 
   /// Safe reordering bound for a LiveFeed: every record emitted after
   /// this call has key time (conn start / dns query ts) at or after the
@@ -138,7 +136,6 @@ class Monitor : public netsim::PacketTap {
   [[nodiscard]] SimDuration flow_timeout(const Flow& flow) const;
   [[nodiscard]] bool local_orig(Ipv4Addr ip) const;
   void emit_conn(const ConnRecord& rec);
-  void emit_dns(DnsRecord&& rec);
   void emit_encflow(const Flow& flow);
 
   MonitorConfig cfg_;
@@ -162,9 +159,8 @@ class Monitor : public netsim::PacketTap {
   std::priority_queue<Expiry, std::vector<Expiry>, ExpiryLater> expiries_;
   std::uint64_t next_generation_ = 1;
 
-  Dataset out_;
+  RecordSink& sink_;
   MonitorStats stats_;
-  RecordSink* sink_ = nullptr;
 };
 
 }  // namespace dnsctx::capture

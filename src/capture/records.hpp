@@ -148,4 +148,21 @@ class RecordSink {
   virtual void on_encflow(const EncFlowRecord& rec) { (void)rec; }
 };
 
+/// The collecting sink: appends every record it is handed to `ds`, each
+/// kind in arrival order. A monitor's stream arrives in finalization
+/// order; sort_by_time() then gives the canonical Dataset.
+class DatasetSink final : public RecordSink {
+ public:
+  void on_conn(const ConnRecord& rec) override { ds.conns.push_back(rec); }
+  void on_dns(const DnsRecord& rec) override { ds.dns.push_back(rec); }
+  void on_encflow(const EncFlowRecord& rec) override { ds.encflows.push_back(rec); }
+
+  Dataset ds;
+};
+
+/// Stable-sort each log by key time: conns by start, DNS by ts, encflows
+/// by start. Records with equal keys keep their order, so a stream in
+/// finalization order sorts to the order a LiveFeed delivers it in.
+void sort_by_time(Dataset& ds);
+
 }  // namespace dnsctx::capture

@@ -6,6 +6,8 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 
@@ -34,58 +36,10 @@ enum class DeviceKind { kComputer, kAndroid, kAppleMobile, kTv, kIot };
 /// so `shards = 1` reproduces the legacy streams bit for bit.
 constexpr std::size_t kPlatformSeedStride = 16;
 
-/// Merge per-shard timestamp-sorted record streams into one. Adjacent
-/// pairs are merged with std::merge, which takes from the left range on
-/// ties — so records with equal timestamps keep (shard index, per-shard
-/// sequence) order, the documented deterministic tie-break.
-template <typename Rec, typename Key>
-std::vector<Rec> merge_sorted_shards(std::vector<std::vector<Rec>> parts, Key key) {
-  const auto before = [&](const Rec& a, const Rec& b) { return key(a) < key(b); };
-  while (parts.size() > 1) {
-    std::vector<std::vector<Rec>> next;
-    next.reserve((parts.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < parts.size(); i += 2) {
-      std::vector<Rec> merged;
-      merged.reserve(parts[i].size() + parts[i + 1].size());
-      std::merge(std::make_move_iterator(parts[i].begin()),
-                 std::make_move_iterator(parts[i].end()),
-                 std::make_move_iterator(parts[i + 1].begin()),
-                 std::make_move_iterator(parts[i + 1].end()), std::back_inserter(merged),
-                 before);
-      next.push_back(std::move(merged));
-    }
-    if (parts.size() % 2 == 1) next.push_back(std::move(parts.back()));
-    parts = std::move(next);
-  }
-  return parts.empty() ? std::vector<Rec>{} : std::move(parts.front());
-}
-
-[[nodiscard]] capture::Dataset merge_shard_datasets(std::vector<capture::Dataset> parts) {
-  if (parts.size() == 1) return std::move(parts.front());
-  std::vector<std::vector<capture::ConnRecord>> conns;
-  std::vector<std::vector<capture::DnsRecord>> dns;
-  conns.reserve(parts.size());
-  dns.reserve(parts.size());
-  for (auto& p : parts) {
-    conns.push_back(std::move(p.conns));
-    dns.push_back(std::move(p.dns));
-  }
-  std::vector<std::vector<capture::EncFlowRecord>> encflows;
-  encflows.reserve(parts.size());
-  for (auto& p : parts) encflows.push_back(std::move(p.encflows));
-  capture::Dataset out;
-  out.conns = merge_sorted_shards(std::move(conns),
-                                  [](const capture::ConnRecord& c) { return c.start; });
-  out.dns =
-      merge_sorted_shards(std::move(dns), [](const capture::DnsRecord& d) { return d.ts; });
-  out.encflows = merge_sorted_shards(
-      std::move(encflows), [](const capture::EncFlowRecord& e) { return e.start; });
-  return out;
-}
-
-/// A shard's private record sink while the town has one attached. The
-/// monitor fills it from whichever thread runs the shard; the town's
-/// caller then replays it into the shared sink, in emission order.
+/// A shard's monitor's sink. The monitor fills it from whichever thread
+/// runs the shard; the town's caller then replays it into the attached
+/// sink in emission order, or, with none attached, moves it into the
+/// town's dataset at harvest().
 class RecordBuffer final : public capture::RecordSink {
  public:
   void on_conn(const capture::ConnRecord& rec) override {
@@ -127,6 +81,23 @@ class RecordBuffer final : public capture::RecordSink {
     encflows_.clear();
   }
 
+  /// Records buffered per kind: conns, DNS, encflows.
+  [[nodiscard]] std::array<std::size_t, 3> sizes() const {
+    return {conns_.size(), dns_used_, encflows_.size()};
+  }
+
+  /// Move every buffered record onto the end of `out`, each kind in the
+  /// order it arrived, and release the buffer's storage.
+  void move_into(capture::Dataset& out) {
+    const auto append = [](auto& to, auto first, auto last) {
+      to.insert(to.end(), std::make_move_iterator(first), std::make_move_iterator(last));
+    };
+    append(out.conns, conns_.begin(), conns_.end());
+    append(out.dns, dns_.begin(), dns_.begin() + static_cast<std::ptrdiff_t>(dns_used_));
+    append(out.encflows, encflows_.begin(), encflows_.end());
+    *this = RecordBuffer{};
+  }
+
  private:
   enum class Kind : std::uint8_t { kConn, kDns, kEncFlow };
   std::vector<Kind> order_;
@@ -159,12 +130,12 @@ struct Town::Shard {
   std::unique_ptr<faults::PacketFaultInjector> injector;  ///< null for the empty plan
   std::vector<std::unique_ptr<resolver::RecursiveResolverPlatform>> platforms;
   std::unique_ptr<traffic::ServerFarm> farm;
+  RecordBuffer records;  ///< the monitor's sink
   std::unique_ptr<capture::Monitor> monitor;
   std::unique_ptr<capture::TruthTap> truth_tap;  ///< null unless collect_truth
   std::unique_ptr<netsim::TapTee> tee;           ///< fans the tap to both
   std::vector<std::unique_ptr<House>> houses;
   GroundTruth truth;
-  RecordBuffer records;  ///< the monitor's sink while the town has one attached
 };
 
 std::vector<Ipv4Addr> resolve_outage_target(const std::string& target) {
@@ -300,7 +271,7 @@ void Town::build_shard(std::size_t shard_idx, std::size_t house_begin, std::size
 
   capture::MonitorConfig mon_cfg;
   mon_cfg.observe_encrypted_metadata = netsim::traits_for(cfg_.transport).encrypted;
-  shard->monitor = std::make_unique<capture::Monitor>(mon_cfg);
+  shard->monitor = std::make_unique<capture::Monitor>(mon_cfg, shard->records);
   if (cfg_.collect_truth) {
     shard->truth_tap = std::make_unique<capture::TruthTap>(resolver_addrs_);
     shard->tee = std::make_unique<netsim::TapTee>(shard->monitor.get(),
@@ -626,14 +597,16 @@ void Town::build_house(Shard& shard, std::size_t index, const std::string& profi
 
 void Town::run() {
   if (ran_ < cfg_.duration) run_for(cfg_.duration - ran_);
-  dataset_ = harvest();
+  (void)harvest();
 }
 
 void Town::attach_record_sink(capture::RecordSink* sink) {
-  record_sink_ = sink;
-  for (const auto& shard : shards_) {
-    shard->monitor->set_record_sink(sink != nullptr ? &shard->records : nullptr);
+  if (started_) {
+    throw std::logic_error{
+        "Town::attach_record_sink: the record sink must be attached before the "
+        "simulation starts (before the first run_for, run or harvest)"};
   }
+  record_sink_ = sink;
 }
 
 void Town::replay_records() {
@@ -656,6 +629,7 @@ void Town::run_for(SimDuration amount) {
   // end time in whatever thread interleaving, with identical per-shard
   // results. Replaying the buffers shard by shard afterwards makes the
   // attached sink see what a one-thread loop over the shards would emit.
+  started_ = true;
   util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
     // Span label only materializes when metrics are on; the empty-string
     // span is the documented no-op.
@@ -669,23 +643,31 @@ void Town::run_for(SimDuration amount) {
   refresh_truth();
 }
 
-capture::Dataset Town::harvest() {
-  harvested_ = true;
-  std::vector<capture::Dataset> parts(shards_.size());
+const capture::Dataset& Town::harvest() {
+  started_ = true;
   util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
-    parts[s] = shards_[s]->monitor->harvest(shards_[s]->sim->now());
+    shards_[s]->monitor->flush(shards_[s]->sim->now());
   });
-  replay_records();
   refresh_truth();
-  capture::Dataset fresh = merge_shard_datasets(std::move(parts));
-  // run() drains the monitors into dataset_ itself, so the natural
-  // run()-then-harvest() sequence used to hit already-empty monitors
-  // and silently return nothing. Hand the stored capture out instead;
-  // dataset() afterwards reflects that it was taken.
-  if (fresh.conns.empty() && fresh.dns.empty() && fresh.encflows.empty()) {
-    return std::move(dataset_);
+  if (record_sink_ != nullptr) {
+    replay_records();
+    return dataset_;
   }
-  return fresh;
+  // Shard order, then one stable sort: ties break by key time, shard,
+  // then finalization order. The dataset is reserved first so it grows
+  // once, and each buffer is released as soon as it is moved.
+  std::array<std::size_t, 3> total{dataset_.conns.size(), dataset_.dns.size(),
+                                   dataset_.encflows.size()};
+  for (const auto& shard : shards_) {
+    const auto n = shard->records.sizes();
+    for (std::size_t k = 0; k < total.size(); ++k) total[k] += n[k];
+  }
+  dataset_.conns.reserve(total[0]);
+  dataset_.dns.reserve(total[1]);
+  dataset_.encflows.reserve(total[2]);
+  for (const auto& shard : shards_) shard->records.move_into(dataset_);
+  capture::sort_by_time(dataset_);
+  return dataset_;
 }
 
 FaultStats Town::fault_stats() const {

@@ -7,6 +7,11 @@
 // run() produces the paper's two datasets; ground-truth counters stay
 // available for validating the analysis heuristics.
 //
+// Records leave the monitors one way: each shard's monitor writes into
+// a buffer its shard owns. An attached record sink is fed from those
+// buffers after every run_for() chunk; with none attached, harvest()
+// collects them into dataset().
+//
 // House profiles follow §3's population: most houses use the ISP's
 // resolvers, most also have Android devices defaulting to Google DNS,
 // a quarter have an OpenDNS-configured machine, a few percent route
@@ -143,26 +148,35 @@ class Town {
   Town& operator=(const Town&) = delete;
 
   /// Run the configured duration (minus whatever run_for() already
-  /// covered) and harvest the datasets. Chunking with run_for() first
-  /// and then calling run() dispatches the exact same event sequence.
+  /// covered), then harvest(). Chunking with run_for() first and then
+  /// calling run() dispatches the exact same event sequence and yields
+  /// the same dataset.
   void run();
 
   /// Run incrementally (callable repeatedly); harvest() when done.
   void run_for(SimDuration amount);
-  [[nodiscard]] capture::Dataset harvest();
+
+  /// Flush every monitor's open flows and pending lookups. With a sink
+  /// attached they are replayed into it and dataset() stays empty.
+  /// Otherwise every record buffered since the start is moved into
+  /// dataset() — shard by shard, then one stable sort by key time, so
+  /// ties break by shard and then finalization order — and dataset() is
+  /// returned. Calling it again (e.g. after run()) returns the same run.
+  const capture::Dataset& harvest();
 
   /// Stream records from every shard's monitor into `sink` instead of
-  /// materializing datasets (see Monitor::set_record_sink); nullptr
-  /// detaches. Shards still run on `threads` threads: each monitor
-  /// writes into a buffer its shard owns, and before run_for() and
-  /// harvest() return, the calling thread replays the buffers into
-  /// `sink` — shard 0's records first, each shard's in emission order.
-  /// That is the sequence a one-thread run makes, so the sink sees the
-  /// same calls for every thread count, only ever from the caller's
-  /// thread, and needs no synchronization. Records arrive in
-  /// finalization order per shard; drive a stream::LiveFeed with
-  /// record_watermark() after each run_for chunk to recover the
-  /// canonical time-sorted order.
+  /// collecting them into dataset(); nullptr detaches. Must be called
+  /// before the simulation starts — throws std::logic_error after the
+  /// first run_for(), run() or harvest(), which would split one run
+  /// between dataset() and the sink. Shards still run on `threads`
+  /// threads: before run_for() and harvest() return, the calling thread
+  /// replays the shard buffers into `sink` — shard 0's records first,
+  /// each shard's in emission order. That is the sequence a one-thread
+  /// run makes, so the sink sees the same calls for every thread count,
+  /// only ever from the caller's thread, and needs no synchronization.
+  /// Records arrive in finalization order per shard; drive a
+  /// stream::LiveFeed with record_watermark() after each run_for chunk
+  /// to recover the canonical time-sorted order.
   void attach_record_sink(capture::RecordSink* sink);
 
   /// Reordering bound across all shards: no record emitted after this
@@ -170,6 +184,8 @@ class Town {
   /// monitors' open_watermark at their current clock).
   [[nodiscard]] SimTime record_watermark() const;
 
+  /// The run collected by harvest() (empty before it, and always empty
+  /// while a record sink is attached).
   [[nodiscard]] const capture::Dataset& dataset() const { return dataset_; }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
   [[nodiscard]] const GroundTruth& ground_truth() const { return truth_; }
@@ -238,7 +254,7 @@ class Town {
   GroundTruth truth_;
   capture::Dataset dataset_;
   SimDuration ran_;  ///< total simulated time covered by run_for() calls
-  bool harvested_ = false;
+  bool started_ = false;  ///< run_for() or harvest() was called
   capture::RecordSink* record_sink_ = nullptr;
 };
 

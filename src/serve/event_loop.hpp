@@ -13,13 +13,9 @@
 // deferred to the end of the batch so the kernel cannot recycle the fd
 // number into a stale queued event.
 //
-// Timers use a hashed timing wheel — the same calendar-queue design as
-// netsim's EventQueue (src/netsim/event_queue.hpp), scaled down to
-// wall-clock coarseness: 1024 slots × 4 ms ≈ 4.1 s per revolution,
-// entries bucketed by deadline tick and lazily re-visited each
-// revolution (the wheel analogue of the calendar cascade). The serve
-// workload is timer-light (idle sweeps, shutdown grace), so one level
-// suffices where the simulator needed three.
+// Timers live in one deadline-ordered multimap. The serve workload is
+// timer-light (the server's periodic sweep), so the loop reads the
+// soonest deadline off the front and fires due timers in deadline order.
 #pragma once
 
 #include <atomic>
@@ -97,14 +93,9 @@ class EventLoop {
  private:
   struct Timer {
     TimerId id;
-    Clock::time_point deadline;
     std::function<void()> fn;
   };
 
-  static constexpr std::size_t kWheelSlots = 1024;  // power of two
-  static constexpr std::chrono::milliseconds kTick{4};
-
-  [[nodiscard]] std::size_t slot_of(Clock::time_point deadline) const;
   void advance_timers();
   [[nodiscard]] int poll_timeout_ms() const;
   void drain_wakeup();
@@ -122,12 +113,9 @@ class EventLoop {
   std::vector<std::function<void()>> deferred_;
   std::function<bool()> idle_work_;
 
-  std::vector<std::vector<Timer>> wheel_{kWheelSlots};
-  Clock::time_point wheel_epoch_;   ///< tick 0 reference
-  std::uint64_t next_tick_ = 0;     ///< first not-yet-visited tick
-  std::size_t timer_count_ = 0;
+  /// Pending timers by deadline; equal deadlines keep insertion order.
+  std::multimap<Clock::time_point, Timer> timers_;
   TimerId next_timer_id_ = 1;
-  Clock::time_point soonest_deadline_;  ///< valid while timer_count_ > 0
 
   bool running_ = false;
   bool idle_pending_ = false;

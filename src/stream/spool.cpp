@@ -480,24 +480,8 @@ ReplayCounts text_to_spool(const std::string& text_dir, const std::string& spool
   return counts;
 }
 
-namespace {
-
-/// RecordSink that accumulates back into a Dataset (records arrive merged
-/// and time-sorted, so each vector ends up sorted too).
-class DatasetSink : public capture::RecordSink {
- public:
-  void on_conn(const capture::ConnRecord& rec) override { ds.conns.push_back(rec); }
-  void on_dns(const capture::DnsRecord& rec) override { ds.dns.push_back(rec); }
-  void on_encflow(const capture::EncFlowRecord& rec) override {
-    ds.encflows.push_back(rec);
-  }
-  capture::Dataset ds;
-};
-
-}  // namespace
-
 ReplayCounts spool_to_text(const std::string& spool_dir, const std::string& text_dir) {
-  DatasetSink sink;
+  capture::DatasetSink sink;  // records arrive merged and time-sorted
   const ReplayCounts counts = replay_spool(spool_dir, sink);
   fs::create_directories(text_dir);
   capture::save_dataset(sink.ds, (fs::path{text_dir} / "conn.log").string(),

@@ -154,8 +154,8 @@ struct ReplayCounts {
 ReplayCounts replay_spool(const SpoolListing& listing, capture::RecordSink& sink);
 ReplayCounts replay_spool(const std::string& dir, capture::RecordSink& sink);
 
-/// Replay an in-memory dataset (timestamp-sorted, as Monitor::harvest
-/// produces) through the same merged-timeline path.
+/// Replay an in-memory dataset (timestamp-sorted, as Town::harvest and
+/// capture::sort_by_time produce) through the same merged-timeline path.
 ReplayCounts replay_dataset(const capture::Dataset& ds, capture::RecordSink& sink);
 
 /// Converters between text logs and spools. `text_to_spool` reads

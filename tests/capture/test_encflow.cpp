@@ -59,11 +59,19 @@ void play_dot_flow(Tap& tap, std::uint16_t client_port = 30'000) {
   down({.ack = true, .fin = true}, 0);
 }
 
+/// Flush `monitor` and return what it emitted into `sink`, time-sorted.
+[[nodiscard]] Dataset harvest(Monitor& monitor, DatasetSink& sink, SimTime end) {
+  monitor.flush(end);
+  sort_by_time(sink.ds);
+  return std::move(sink.ds);
+}
+
 TEST(MonitorEncFlow, MetadataCaptureIsOffByDefault) {
   EXPECT_FALSE(MonitorConfig{}.observe_encrypted_metadata);
-  Monitor monitor;
+  DatasetSink sink;
+  Monitor monitor{MonitorConfig{}, sink};
   play_dot_flow(monitor);
-  const Dataset ds = monitor.harvest(SimTime::from_us(10'000'000));
+  const Dataset ds = harvest(monitor, sink, SimTime::from_us(10'000'000));
   EXPECT_EQ(ds.conns.size(), 1u);  // the flow still logs as a connection
   EXPECT_TRUE(ds.encflows.empty());
 }
@@ -71,9 +79,10 @@ TEST(MonitorEncFlow, MetadataCaptureIsOffByDefault) {
 TEST(MonitorEncFlow, DotFlowYieldsOneMetadataRecord) {
   MonitorConfig cfg;
   cfg.observe_encrypted_metadata = true;
-  Monitor monitor{cfg};
+  DatasetSink sink;
+  Monitor monitor{cfg, sink};
   play_dot_flow(monitor);
-  const Dataset ds = monitor.harvest(SimTime::from_us(10'000'000));
+  const Dataset ds = harvest(monitor, sink, SimTime::from_us(10'000'000));
   ASSERT_EQ(ds.encflows.size(), 1u);
   const auto& traits = netsim::traits_for(netsim::Transport::kDoT);
   const EncFlowRecord& e = ds.encflows[0];
@@ -92,7 +101,8 @@ TEST(MonitorEncFlow, DotFlowYieldsOneMetadataRecord) {
 TEST(MonitorEncFlow, OrdinaryWebFlowIsRecordedButUnpadded) {
   MonitorConfig cfg;
   cfg.observe_encrypted_metadata = true;
-  Monitor monitor{cfg};
+  DatasetSink sink;
+  Monitor monitor{cfg, sink};
   SimTime t = SimTime::from_us(500'000);
   const auto step = [&t] {
     t = t + SimDuration::ms(5);
@@ -111,7 +121,7 @@ TEST(MonitorEncFlow, OrdinaryWebFlowIsRecordedButUnpadded) {
                   tcp_packet(kClient, kWebServer, 40'000, 443, {.ack = true, .fin = true}));
   monitor.observe(step(),
                   tcp_packet(kWebServer, kClient, 443, 40'000, {.ack = true, .fin = true}));
-  const Dataset ds = monitor.harvest(SimTime::from_us(10'000'000));
+  const Dataset ds = harvest(monitor, sink, SimTime::from_us(10'000'000));
   ASSERT_EQ(ds.encflows.size(), 1u);
   EXPECT_EQ(ds.encflows[0].server_port, 443);
   EXPECT_EQ(ds.encflows[0].pad_aligned_up, 0u);   // 777 is on no DNS block
@@ -121,12 +131,13 @@ TEST(MonitorEncFlow, OrdinaryWebFlowIsRecordedButUnpadded) {
 TEST(MonitorEncFlow, NonTlsPortsProduceNoMetadata) {
   MonitorConfig cfg;
   cfg.observe_encrypted_metadata = true;
-  Monitor monitor{cfg};
+  DatasetSink sink;
+  Monitor monitor{cfg, sink};
   SimTime t = SimTime::from_us(500'000);
   monitor.observe(t, tcp_packet(kClient, kWebServer, 40'000, 8'080, {.syn = true}));
   t = t + SimDuration::ms(5);
   monitor.observe(t, tcp_packet(kClient, kWebServer, 40'000, 8'080, {.ack = true}, 999));
-  const Dataset ds = monitor.harvest(SimTime::from_us(10'000'000));
+  const Dataset ds = harvest(monitor, sink, SimTime::from_us(10'000'000));
   EXPECT_EQ(ds.conns.size(), 1u);
   EXPECT_TRUE(ds.encflows.empty());
 }

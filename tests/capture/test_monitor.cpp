@@ -2,6 +2,8 @@
 // observations.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "capture/monitor.hpp"
 #include "dns/codec.hpp"
 
@@ -42,7 +44,15 @@ constexpr Ipv4Addr kResolver{100, 66, 250, 1};
 
 class MonitorTest : public ::testing::Test {
  protected:
-  Monitor monitor;
+  DatasetSink sink;
+  Monitor monitor{MonitorConfig{}, sink};
+
+  /// Flush the monitor and take what it emitted so far, time-sorted.
+  [[nodiscard]] Dataset harvest(SimTime end) {
+    monitor.flush(end);
+    sort_by_time(sink.ds);
+    return std::exchange(sink.ds, Dataset{});
+  }
 
   void play_handshake_and_close(std::int64_t t0_ms, std::uint64_t up = 500,
                                 std::uint64_t down = 10'000, std::int64_t close_ms = 1'000) {
@@ -59,7 +69,7 @@ class MonitorTest : public ::testing::Test {
 
 TEST_F(MonitorTest, NormalTcpConnectionSummarised) {
   play_handshake_and_close(0);
-  const Dataset ds = monitor.harvest(at_ms(5'000));
+  const Dataset ds = harvest(at_ms(5'000));
   ASSERT_EQ(ds.conns.size(), 1u);
   const ConnRecord& c = ds.conns[0];
   EXPECT_EQ(c.orig_ip, kHouse);
@@ -76,7 +86,7 @@ TEST_F(MonitorTest, NormalTcpConnectionSummarised) {
 TEST_F(MonitorTest, SynOnlyBecomesS0AfterTimeout) {
   monitor.observe(at_ms(0), tcp(kHouse, 10'000, kServer, 123, {.syn = true}));
   monitor.observe(at_ms(3'000), tcp(kHouse, 10'000, kServer, 123, {.syn = true}));  // retx
-  const Dataset ds = monitor.harvest(at_ms(120'000));
+  const Dataset ds = harvest(at_ms(120'000));
   ASSERT_EQ(ds.conns.size(), 1u);
   EXPECT_EQ(ds.conns[0].state, ConnState::kS0);
   EXPECT_EQ(ds.conns[0].resp_bytes, 0u);
@@ -85,7 +95,7 @@ TEST_F(MonitorTest, SynOnlyBecomesS0AfterTimeout) {
 TEST_F(MonitorTest, SynRstIsRejected) {
   monitor.observe(at_ms(0), tcp(kHouse, 10'000, kServer, 443, {.syn = true}));
   monitor.observe(at_ms(10), tcp(kServer, 443, kHouse, 10'000, {.rst = true}));
-  const Dataset ds = monitor.harvest(at_ms(1'000));
+  const Dataset ds = harvest(at_ms(1'000));
   ASSERT_EQ(ds.conns.size(), 1u);
   EXPECT_EQ(ds.conns[0].state, ConnState::kRej);
 }
@@ -94,7 +104,7 @@ TEST_F(MonitorTest, EstablishedThenRst) {
   monitor.observe(at_ms(0), tcp(kHouse, 10'000, kServer, 443, {.syn = true}));
   monitor.observe(at_ms(10), tcp(kServer, 443, kHouse, 10'000, {.syn = true, .ack = true}));
   monitor.observe(at_ms(500), tcp(kHouse, 10'000, kServer, 443, {.rst = true}));
-  const Dataset ds = monitor.harvest(at_ms(1'000));
+  const Dataset ds = harvest(at_ms(1'000));
   ASSERT_EQ(ds.conns.size(), 1u);
   EXPECT_EQ(ds.conns[0].state, ConnState::kRst);
 }
@@ -104,7 +114,7 @@ TEST_F(MonitorTest, HalfCloseAloneDoesNotFinalise) {
   monitor.observe(at_ms(10), tcp(kServer, 443, kHouse, 10'000, {.syn = true, .ack = true}));
   monitor.observe(at_ms(100), tcp(kServer, 443, kHouse, 10'000, {.ack = true, .fin = true}));
   // Harvest before any timeout: the flow is still open and flushed as OTH.
-  const Dataset ds = monitor.harvest(at_ms(200));
+  const Dataset ds = harvest(at_ms(200));
   ASSERT_EQ(ds.conns.size(), 1u);
   EXPECT_EQ(ds.conns[0].state, ConnState::kOth);
 }
@@ -114,7 +124,7 @@ TEST_F(MonitorTest, ConcurrentConnectionsTrackedSeparately) {
   monitor.observe(at_ms(1), tcp(kHouse, 10'001, kServer, 443, {.syn = true}));
   monitor.observe(at_ms(10), tcp(kServer, 443, kHouse, 10'000, {.syn = true, .ack = true}));
   monitor.observe(at_ms(11), tcp(kServer, 443, kHouse, 10'001, {.syn = true, .ack = true}));
-  const Dataset ds = monitor.harvest(at_ms(2'000));
+  const Dataset ds = harvest(at_ms(2'000));
   EXPECT_EQ(ds.conns.size(), 2u);
 }
 
@@ -124,7 +134,7 @@ TEST_F(MonitorTest, UdpFlowClosesAfterInactivity) {
   monitor.observe(at_ms(59'000), udp(kHouse, 50'000, kServer, 9'999, 100));
   // 60 s of silence, then more packets: a NEW flow.
   monitor.observe(at_ms(200'000), udp(kHouse, 50'000, kServer, 9'999, 50));
-  const Dataset ds = monitor.harvest(at_ms(400'000));
+  const Dataset ds = harvest(at_ms(400'000));
   ASSERT_EQ(ds.conns.size(), 2u);
   EXPECT_EQ(ds.conns[0].orig_bytes, 200u);
   EXPECT_EQ(ds.conns[0].resp_bytes, 400u);
@@ -145,7 +155,7 @@ TEST_F(MonitorTest, DnsTransactionMatched) {
   rp.dns = dns::DnsPayload::from_message(resp);
   monitor.observe(at_ms(108), rp);
 
-  const Dataset ds = monitor.harvest(at_ms(1'000));
+  const Dataset ds = harvest(at_ms(1'000));
   EXPECT_TRUE(ds.conns.empty());  // port-53 flows are not conn records
   ASSERT_EQ(ds.dns.size(), 1u);
   const DnsRecord& d = ds.dns[0];
@@ -165,7 +175,7 @@ TEST_F(MonitorTest, UnansweredDnsFlushedAsUnanswered) {
   auto qp = udp(kHouse, 40'000, kResolver, 53);
   qp.dns = dns::DnsPayload::from_message(query);
   monitor.observe(at_ms(0), qp);
-  const Dataset ds = monitor.harvest(at_ms(60'000));
+  const Dataset ds = harvest(at_ms(60'000));
   ASSERT_EQ(ds.dns.size(), 1u);
   EXPECT_FALSE(ds.dns[0].answered);
   EXPECT_TRUE(ds.dns[0].answers.empty());
@@ -185,7 +195,7 @@ TEST_F(MonitorTest, DnsRetransmissionKeepsFirstTimestamp) {
   rp.dns = dns::DnsPayload::from_message(resp);
   monitor.observe(at_ms(3'050), rp);
 
-  const Dataset ds = monitor.harvest(at_ms(60'000));
+  const Dataset ds = harvest(at_ms(60'000));
   ASSERT_EQ(ds.dns.size(), 1u);
   EXPECT_EQ(ds.dns[0].ts, at_ms(0));
   EXPECT_EQ(ds.dns[0].duration, SimDuration::ms(3'050));  // includes the retry wait
@@ -196,7 +206,7 @@ TEST_F(MonitorTest, MalformedDnsCounted) {
   qp.dns = dns::DnsPayload::from_wire({1, 2, 3});
   monitor.observe(at_ms(0), qp);
   EXPECT_EQ(monitor.malformed_dns(), 1u);
-  const Dataset ds = monitor.harvest(at_ms(1'000));
+  const Dataset ds = harvest(at_ms(1'000));
   EXPECT_TRUE(ds.dns.empty());
 }
 
@@ -206,7 +216,7 @@ TEST_F(MonitorTest, UnsolicitedDnsResponseIgnored) {
   auto rp = udp(kResolver, 53, kHouse, 40'000);
   rp.dns = dns::DnsPayload::from_message(resp);
   monitor.observe(at_ms(0), rp);
-  const Dataset ds = monitor.harvest(at_ms(1'000));
+  const Dataset ds = harvest(at_ms(1'000));
   EXPECT_TRUE(ds.dns.empty());
 }
 
@@ -217,15 +227,15 @@ TEST_F(MonitorTest, HarvestSortsByTimestamp) {
   play_handshake_and_close(100, 1, 1, 200);  // starts later, closes at 400
   monitor.observe(at_ms(5'000), tcp(kServer, 443, kHouse, 10'001, {.ack = true, .fin = true}));
   monitor.observe(at_ms(5'010), tcp(kHouse, 10'001, kServer, 443, {.ack = true, .fin = true}));
-  const Dataset ds = monitor.harvest(at_ms(10'000));
+  const Dataset ds = harvest(at_ms(10'000));
   ASSERT_EQ(ds.conns.size(), 2u);
   EXPECT_LT(ds.conns[0].start, ds.conns[1].start);
 }
 
 TEST_F(MonitorTest, HarvestResetsState) {
   play_handshake_and_close(0);
-  (void)monitor.harvest(at_ms(5'000));
-  const Dataset ds2 = monitor.harvest(at_ms(6'000));
+  (void)harvest(at_ms(5'000));
+  const Dataset ds2 = harvest(at_ms(6'000));
   EXPECT_TRUE(ds2.conns.empty());
   EXPECT_TRUE(ds2.dns.empty());
 }
@@ -263,7 +273,7 @@ TEST_F(MonitorTest, StatsCountersTrackWeirdness) {
   play_handshake_and_close(4'000);
   EXPECT_EQ(monitor.stats().conns_closed, 1u);
   monitor.observe(at_ms(10'000), udp(kHouse, 50'000, kServer, 9'999, 10));
-  (void)monitor.harvest(at_ms(500'000));
+  (void)harvest(at_ms(500'000));
   EXPECT_EQ(monitor.stats().conns_timed_out, 1u);   // the UDP flow
   EXPECT_EQ(monitor.stats().dns_unanswered, 1u);    // the retransmitted query
   EXPECT_GT(monitor.stats().packets, 5u);
@@ -274,7 +284,7 @@ TEST_F(MonitorTest, NonLocalOriginatorsFilteredAtHarvest) {
   // carry a non-local originator; the paper's corpus keeps only
   // locally-originated connections.
   monitor.observe(at_ms(0), udp(kServer, 9'999, kHouse, 50'000, 64));
-  const Dataset ds = monitor.harvest(at_ms(200'000));
+  const Dataset ds = harvest(at_ms(200'000));
   EXPECT_TRUE(ds.conns.empty());
 }
 

@@ -185,6 +185,67 @@ TEST(ParallelDeterminism, SingleShardMatchesLegacySeedStream) {
   EXPECT_EQ(serialize(a.dataset()), serialize(b.dataset()));
 }
 
+/// A one-hour, 16-house capture with the given partitioning.
+[[nodiscard]] scenario::ScenarioConfig sink_config(std::size_t shards, unsigned threads) {
+  scenario::ScenarioConfig cfg;
+  cfg.houses = 16;
+  cfg.duration = SimDuration::hours(1);
+  cfg.seed = 2020;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  return cfg;
+}
+
+// ---- batch mode: the dataset collected from the shard buffers ----
+
+/// Every log of a dataset, encflow.log included.
+[[nodiscard]] std::string serialize_with_encflows(const capture::Dataset& ds) {
+  std::stringstream ss;
+  capture::write_conn_log(ss, ds.conns);
+  capture::write_dns_log(ss, ds.dns);
+  capture::write_encflow_log(ss, ds.encflows);
+  return ss.str();
+}
+
+/// Capture `cfg` with no sink attached: in `chunk`-sized run_for() calls
+/// followed by run(), as `simulate --progress` does, or (`chunk` zero)
+/// with one run().
+[[nodiscard]] capture::Dataset batch_capture(const scenario::ScenarioConfig& cfg,
+                                             SimDuration chunk) {
+  scenario::Town town{cfg};
+  if (chunk > SimDuration::zero()) {
+    for (SimDuration done; done < cfg.duration; done += chunk) {
+      town.run_for(std::min(chunk, cfg.duration - done));
+    }
+  }
+  town.run();
+  return town.dataset();
+}
+
+void expect_chunked_batch_matches_one_run(netsim::Transport transport) {
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const unsigned threads : {1u, 4u}) {
+      scenario::ScenarioConfig cfg = sink_config(shards, threads);
+      cfg.transport = transport;
+      const capture::Dataset whole = batch_capture(cfg, SimDuration::zero());
+      ASSERT_FALSE(whole.conns.empty());
+      ASSERT_FALSE(whole.dns.empty());
+      ASSERT_EQ(whole.encflows.empty(), transport == netsim::Transport::kDo53);
+      EXPECT_EQ(serialize_with_encflows(batch_capture(cfg, SimDuration::min(7))),
+                serialize_with_encflows(whole))
+          << "shards = " << shards << ", threads = " << threads;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, ChunkedBatchRunMatchesOneRun) {
+  expect_chunked_batch_matches_one_run(netsim::Transport::kDo53);
+}
+
+TEST(ParallelDeterminism, ChunkedBatchRunMatchesOneRunWithEncFlows) {
+  expect_chunked_batch_matches_one_run(netsim::Transport::kDoT);
+}
+
 // ---- sink mode: records streamed through Town::attach_record_sink ----
 
 /// Records every record-sink call in order — which kind, and each kind's
@@ -245,16 +306,6 @@ struct SinkRun {
   std::size_t dns = 0;
   std::size_t encflows = 0;
 };
-
-[[nodiscard]] scenario::ScenarioConfig sink_config(std::size_t shards, unsigned threads) {
-  scenario::ScenarioConfig cfg;
-  cfg.houses = 16;
-  cfg.duration = SimDuration::hours(1);
-  cfg.seed = 2020;
-  cfg.shards = shards;
-  cfg.threads = threads;
-  return cfg;
-}
 
 /// Capture `cfg` the way `simulate --binary-logs` does — chunked
 /// run_for() with a LiveFeed drained to record_watermark(), then

@@ -3,6 +3,8 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "capture/logio.hpp"
 #include "scenario/scenario.hpp"
@@ -204,6 +206,39 @@ TEST(TownIncremental, RunForAndHarvest) {
   const auto ds = t.harvest();
   EXPECT_GT(ds.conns.size(), 100u);
   EXPECT_EQ(t.sim().now(), SimTime::origin() + SimDuration::hours(1));
+}
+
+[[nodiscard]] std::string serialize(const capture::Dataset& ds) {
+  std::ostringstream ss;
+  capture::write_conn_log(ss, ds.conns);
+  capture::write_dns_log(ss, ds.dns);
+  return ss.str();
+}
+
+TEST(TownIncremental, DatasetSurvivesHarvestAfterRun) {
+  Town t{small_town(9)};
+  t.run();
+  const std::string before = serialize(t.dataset());
+  ASSERT_FALSE(t.dataset().conns.empty());
+  const capture::Dataset& again = t.harvest();
+  EXPECT_EQ(&again, &t.dataset());
+  EXPECT_EQ(serialize(t.dataset()), before);
+}
+
+TEST(TownIncremental, RecordSinkMustBeAttachedBeforeTheRunStarts) {
+  struct Null final : capture::RecordSink {
+    void on_conn(const capture::ConnRecord&) override {}
+    void on_dns(const capture::DnsRecord&) override {}
+  } sink;
+  Town t{small_town(9)};
+  t.attach_record_sink(&sink);  // before the first run_for: fine
+  t.run_for(SimDuration::min(5));
+  EXPECT_THROW(t.attach_record_sink(nullptr), std::logic_error);
+  EXPECT_THROW(t.attach_record_sink(&sink), std::logic_error);
+
+  Town u{small_town(9)};
+  (void)u.harvest();
+  EXPECT_THROW(u.attach_record_sink(&sink), std::logic_error);
 }
 
 }  // namespace

@@ -96,7 +96,8 @@ class TcpFallbackTest : public ::testing::Test {
   netsim::HouseGateway gateway;
   ZoneDb zones;
   RecursiveResolverPlatform platform;
-  capture::Monitor monitor;
+  capture::DatasetSink sink;
+  capture::Monitor monitor{capture::MonitorConfig{}, sink};
   traffic::Device device;
 };
 
@@ -143,7 +144,9 @@ TEST_F(TcpFallbackTest, MonitorLogsBothTransactions) {
   ASSERT_NE(wide, nullptr);
   device.stub().resolve(wide->name, [](const ResolveResult&) {});
   sim.run_until(sim.now() + SimDuration::sec(2));
-  const auto ds = monitor.harvest(sim.now());
+  monitor.flush(sim.now());
+  capture::sort_by_time(sink.ds);
+  const capture::Dataset& ds = sink.ds;
 
   // Port-53 traffic (UDP and TCP) must not appear as connections.
   EXPECT_TRUE(ds.conns.empty());

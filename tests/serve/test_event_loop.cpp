@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include <unistd.h>
@@ -48,6 +49,25 @@ TEST(EventLoop, TimersBeyondOneWheelRevolutionFire) {
   }
   EXPECT_EQ(fast, 1);
   EXPECT_EQ(slow, 1);
+}
+
+TEST(EventLoop, TimerReArmedFromItsCallbackFiresOnALaterIteration) {
+  // Due timers are collected before any runs: a callback that re-arms
+  // itself with no delay adds a timer that is already due, and it must
+  // wait for the next iteration instead of looping inside this one.
+  EventLoop loop;
+  int fired = 0;
+  std::function<void()> tick = [&] {
+    ++fired;
+    loop.add_timer(std::chrono::milliseconds{0}, tick);
+  };
+  loop.add_timer(std::chrono::milliseconds{0}, tick);
+  loop.run_once(0);
+  EXPECT_EQ(fired, 1);
+  loop.run_once(0);
+  EXPECT_EQ(fired, 2);
+  loop.run_once(0);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(EventLoop, DeferredRunsAfterBatchAndCanChain) {
